@@ -10,8 +10,9 @@
 //
 //   A. No-search guard. Lookahead with K = 1 and no bid levels never
 //      consults the what-if engine and must be bit-identical to the
-//      adaptive baseline — same headline metrics, same executed event
-//      count. Exits nonzero on any mismatch, so CI pins the guarantee.
+//      adaptive baseline — every RunMetrics field, the executed event
+//      count included. Exits nonzero on any mismatch, so CI pins the
+//      guarantee.
 //   B. Checkpoint guard. Snapshot a live market run mid-flight, push it
 //      through the binary disk codec, restore, continue — and require the
 //      finished run bit-identical to the uninterrupted one. Exits nonzero
@@ -69,22 +70,6 @@ TelemetryOptions slo_telemetry(const ScenarioConfig& config) {
   return opts;
 }
 
-// The headline RunMetrics the guards pin. Exact (bitwise) equality: the
-// disabled search and the checkpoint roundtrip must not move a single
-// double.
-bool identical(const RunMetrics& a, const RunMetrics& b) {
-  return a.generated == b.generated && a.completed == b.completed &&
-         a.rejected == b.rejected && a.avg_response_time == b.avg_response_time &&
-         a.p95_response_time == b.p95_response_time &&
-         a.utilization == b.utilization && a.vm_hours == b.vm_hours &&
-         a.qos_violations == b.qos_violations &&
-         a.rejection_rate == b.rejection_rate &&
-         a.avg_instances == b.avg_instances && a.max_instances == b.max_instances &&
-         a.billed_cost == b.billed_cost &&
-         a.spot_revocations == b.spot_revocations &&
-         a.simulated_events == b.simulated_events;
-}
-
 void print_ab11_row(std::ostream& out, const RunMetrics& m) {
   out << "  " << std::left << std::setw(26) << m.policy << std::right
       << std::setw(10) << fmt(m.billed_cost, 2) << std::setw(10)
@@ -117,12 +102,15 @@ int main(int argc, char** argv) {
         run_scenario(config, PolicySpec::lookahead_spec(1, 1), seed).metrics;
     print_policy_table(std::cout,
                        {aggregate({adaptive}), aggregate({lookahead})});
-    if (!identical(adaptive, lookahead)) {
+    // Every RunMetrics field, bitwise: the disabled search must not move a
+    // single double.
+    if (const auto difference = first_metric_difference(adaptive, lookahead)) {
       std::cout << "\nFAIL: disabled lookahead search perturbed the "
-                   "simulation (headline metrics differ)\n";
+                   "simulation ("
+                << *difference << ")\n";
       return 1;
     }
-    std::cout << "\nOK: headline metrics (incl. simulated_events="
+    std::cout << "\nOK: all metrics (incl. simulated_events="
               << adaptive.simulated_events << ") bit-identical.\n";
   }
 
@@ -144,14 +132,15 @@ int main(int argc, char** argv) {
     World resumed(config, policy, seed, state);
     resumed.run_to(config.horizon);
     const RunMetrics continued = resumed.finish().metrics;
-    if (!identical(full, continued)) {
+    if (const auto difference = first_metric_difference(full, continued)) {
       std::cout << "FAIL: checkpoint/restore diverged from the "
-                   "uninterrupted run\n";
+                   "uninterrupted run ("
+                << *difference << ")\n";
       return 1;
     }
     std::cout << "OK: snapshot at t=" << fmt(config.horizon / 3.0, 0)
               << "s, restored from disk, continued to the horizon; all "
-                 "headline metrics (incl. billed cost "
+                 "metrics (incl. billed cost "
               << fmt(continued.billed_cost, 2) << " and simulated_events="
               << continued.simulated_events << ") bit-identical.\n";
   }

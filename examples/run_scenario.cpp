@@ -31,6 +31,7 @@
 //                  --ttl 300 --cache-vm 4        # cache + backend tiers
 //   ./run_scenario --workload zipf --tiers --flush-at 43200 \
 //                  --cache-crash-at 21600        # TTL storm + warmup transient
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -197,9 +198,7 @@ RunOutput run_replication_zero(const ScenarioConfig& config,
   return world.finish();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   ArgParser args("Runs one provisioning scenario and reports the paper's metrics.");
   args.add_flag("workload", "web", "web | scientific | zipf", "<name>");
   args.add_flag("policy", "adaptive", "adaptive | static", "<name>");
@@ -865,4 +864,17 @@ int main(int argc, char** argv) {
     std::cout << "run manifest written to " << manifest_path << '\n';
   }
   return 0;
+}
+
+}  // namespace
+
+// Bad flags, unreadable or corrupt checkpoints and other rejected input end
+// the run with a message and exit code 2 instead of an abort.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << '\n';
+    return 2;
+  }
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <type_traits>
 
 #include "experiment/multi_tenant.h"
 #include "lookahead/world_state.h"
@@ -71,90 +72,18 @@ class JsonObject {
 
 void write_metrics(std::ostream& out, const RunMetrics& m, int indent = 4) {
   JsonObject obj(out, indent);
-  obj.str("policy", m.policy);
-  obj.uint("seed", m.seed);
-  obj.uint("generated", m.generated);
-  obj.uint("accepted", m.accepted);
-  obj.uint("rejected", m.rejected);
-  obj.uint("completed", m.completed);
-  obj.uint("qos_violations", m.qos_violations);
-  obj.num("avg_response_time", m.avg_response_time);
-  obj.num("std_response_time", m.std_response_time);
-  obj.num("p95_response_time", m.p95_response_time);
-  obj.num("p99_response_time", m.p99_response_time);
-  obj.num("min_instances", m.min_instances);
-  obj.num("max_instances", m.max_instances);
-  obj.num("avg_instances", m.avg_instances);
-  obj.num("vm_hours", m.vm_hours);
-  obj.num("busy_vm_hours", m.busy_vm_hours);
-  obj.num("utilization", m.utilization);
-  obj.num("rejection_rate", m.rejection_rate);
-  obj.uint("instance_failures", m.instance_failures);
-  obj.uint("vm_crashes", m.vm_crashes);
-  obj.uint("host_crashes", m.host_crashes);
-  obj.uint("boot_failures", m.boot_failures);
-  obj.uint("boot_timeouts", m.boot_timeouts);
-  obj.uint("lost_requests", m.lost_requests);
-  obj.uint("lost_to_vm_crashes", m.lost_to_vm_crashes);
-  obj.uint("lost_to_host_crashes", m.lost_to_host_crashes);
-  obj.num("availability", m.availability);
-  obj.uint("recoveries", m.recoveries);
-  obj.num("mttr_mean", m.mttr_mean);
-  obj.num("mttr_max", m.mttr_max);
-  obj.uint("reconciler_heals", m.reconciler_heals);
-  obj.uint("reconciler_retries", m.reconciler_retries);
-  obj.uint("reconciler_aborts", m.reconciler_aborts);
-  obj.uint("final_instances", m.final_instances);
-  obj.uint("slo_response_alerts", m.slo_response_alerts);
-  obj.uint("slo_rejection_alerts", m.slo_rejection_alerts);
-  obj.num("slo_worst_burn_rate", m.slo_worst_burn_rate);
-  obj.uint("drift_windows", m.drift_windows);
-  obj.num("drift_response_mape", m.drift_response_mape);
-  obj.num("drift_response_bias", m.drift_response_bias);
-  obj.uint("spans_traced", m.spans_traced);
-  obj.num("billed_cost", m.billed_cost);
-  obj.num("on_demand_cost", m.on_demand_cost);
-  obj.num("spot_cost", m.spot_cost);
-  obj.num("reserved_cost", m.reserved_cost);
-  obj.uint("on_demand_purchases", m.on_demand_purchases);
-  obj.uint("spot_purchases", m.spot_purchases);
-  obj.uint("reserved_purchases", m.reserved_purchases);
-  obj.uint("spot_revocations", m.spot_revocations);
-  obj.uint("revocation_kills", m.revocation_kills);
-  obj.uint("lost_to_revocations", m.lost_to_revocations);
-  obj.num("spot_price_mean", m.spot_price_mean);
-  obj.num("spot_price_max", m.spot_price_max);
-  obj.uint("client_requests", m.client_requests);
-  obj.uint("client_succeeded", m.client_succeeded);
-  obj.uint("client_failed", m.client_failed);
-  obj.uint("client_attempts", m.client_attempts);
-  obj.uint("client_retries", m.client_retries);
-  obj.uint("retry_budget_denied", m.retry_budget_denied);
-  obj.uint("client_timeouts", m.client_timeouts);
-  obj.uint("wasted_completions", m.wasted_completions);
-  obj.uint("breaker_opens", m.breaker_opens);
-  obj.uint("breaker_half_opens", m.breaker_half_opens);
-  obj.uint("breaker_closes", m.breaker_closes);
-  obj.uint("breaker_fast_fails", m.breaker_fast_fails);
-  obj.uint("shed_deadline", m.shed_deadline);
-  obj.uint("shed_brownout", m.shed_brownout);
-  obj.uint("cache_hits", m.cache_hits);
-  obj.uint("cache_misses", m.cache_misses);
-  obj.num("cache_hit_ratio", m.cache_hit_ratio);
-  obj.uint("cache_fills", m.cache_fills);
-  obj.uint("cache_evictions", m.cache_evictions);
-  obj.uint("cache_expirations", m.cache_expirations);
-  obj.uint("cache_invalidations", m.cache_invalidations);
-  obj.uint("cache_flushes", m.cache_flushes);
-  obj.num("cache_vm_hours", m.cache_vm_hours);
-  obj.num("cache_utilization", m.cache_utilization);
-  obj.num("cache_avg_instances", m.cache_avg_instances);
-  obj.uint("cache_final_instances", m.cache_final_instances);
-  obj.num("lambda_miss_mean", m.lambda_miss_mean);
-  obj.num("cache_avg_response_time", m.cache_avg_response_time);
-  obj.num("backend_avg_response_time", m.backend_avg_response_time);
-  obj.uint("simulated_events", m.simulated_events);
-  obj.num("wall_seconds", m.wall_seconds);
+  for_each_field(
+      [&obj](const char* name, const auto& value) {
+        using Field = std::decay_t<decltype(value)>;
+        if constexpr (std::is_same_v<Field, std::string>) {
+          obj.str(name, value);
+        } else if constexpr (std::is_same_v<Field, double>) {
+          obj.num(name, value);
+        } else {
+          obj.uint(name, value);
+        }
+      },
+      m);
 }
 
 void write_scenario(std::ostream& out, const ScenarioConfig& config) {

@@ -1,5 +1,10 @@
 #include "experiment/metrics.h"
 
+#include <algorithm>
+#include <bit>
+#include <sstream>
+#include <type_traits>
+
 #include "util/check.h"
 
 namespace cloudprov {
@@ -15,6 +20,32 @@ ConfidenceInterval field_ci(const std::vector<RunMetrics>& runs, double confiden
 }
 
 }  // namespace
+
+std::optional<std::string> first_metric_difference(
+    const RunMetrics& a, const RunMetrics& b,
+    std::initializer_list<std::string_view> ignore) {
+  std::optional<std::string> difference;
+  for_each_field(
+      [&](std::string_view name, const auto& x, const auto& y) {
+        if (difference || name == "policy" || name == "wall_seconds" ||
+            std::find(ignore.begin(), ignore.end(), name) != ignore.end()) {
+          return;
+        }
+        if constexpr (std::is_same_v<std::decay_t<decltype(x)>, double>) {
+          if (std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y)) {
+            return;
+          }
+        } else if (x == y) {
+          return;
+        }
+        std::ostringstream text;
+        text.precision(17);
+        text << name << ": " << x << " vs " << y;
+        difference = text.str();
+      },
+      a, b);
+  return difference;
+}
 
 AggregateMetrics aggregate(const std::vector<RunMetrics>& runs, double confidence) {
   ensure_arg(!runs.empty(), "aggregate: no runs");

@@ -7,7 +7,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "stats/confidence.h"
@@ -135,6 +138,112 @@ struct RunMetrics {
   std::uint64_t simulated_events = 0;
   double wall_seconds = 0.0;
 };
+
+/// Calls `visit(name, field...)` once per RunMetrics field, in declaration
+/// order, passing that field of every `metrics` argument (std::visit-style:
+/// one struct to export it, two to compare them). This is the one RunMetrics
+/// field list: a field added to the struct above must be added here too,
+/// and the manifest writer and first_metric_difference then cover it.
+template <typename Visitor, typename... Metrics>
+void for_each_field(Visitor&& visit, Metrics&... metrics) {
+#define CLOUDPROV_METRIC(name) visit(#name, metrics.name...)
+  CLOUDPROV_METRIC(policy);
+  CLOUDPROV_METRIC(seed);
+  CLOUDPROV_METRIC(generated);
+  CLOUDPROV_METRIC(accepted);
+  CLOUDPROV_METRIC(rejected);
+  CLOUDPROV_METRIC(completed);
+  CLOUDPROV_METRIC(qos_violations);
+  CLOUDPROV_METRIC(avg_response_time);
+  CLOUDPROV_METRIC(std_response_time);
+  CLOUDPROV_METRIC(p95_response_time);
+  CLOUDPROV_METRIC(p99_response_time);
+  CLOUDPROV_METRIC(min_instances);
+  CLOUDPROV_METRIC(max_instances);
+  CLOUDPROV_METRIC(avg_instances);
+  CLOUDPROV_METRIC(vm_hours);
+  CLOUDPROV_METRIC(busy_vm_hours);
+  CLOUDPROV_METRIC(utilization);
+  CLOUDPROV_METRIC(rejection_rate);
+  CLOUDPROV_METRIC(instance_failures);
+  CLOUDPROV_METRIC(vm_crashes);
+  CLOUDPROV_METRIC(host_crashes);
+  CLOUDPROV_METRIC(boot_failures);
+  CLOUDPROV_METRIC(boot_timeouts);
+  CLOUDPROV_METRIC(lost_requests);
+  CLOUDPROV_METRIC(lost_to_vm_crashes);
+  CLOUDPROV_METRIC(lost_to_host_crashes);
+  CLOUDPROV_METRIC(availability);
+  CLOUDPROV_METRIC(recoveries);
+  CLOUDPROV_METRIC(mttr_mean);
+  CLOUDPROV_METRIC(mttr_max);
+  CLOUDPROV_METRIC(reconciler_heals);
+  CLOUDPROV_METRIC(reconciler_retries);
+  CLOUDPROV_METRIC(reconciler_aborts);
+  CLOUDPROV_METRIC(final_instances);
+  CLOUDPROV_METRIC(slo_response_alerts);
+  CLOUDPROV_METRIC(slo_rejection_alerts);
+  CLOUDPROV_METRIC(slo_worst_burn_rate);
+  CLOUDPROV_METRIC(drift_windows);
+  CLOUDPROV_METRIC(drift_response_mape);
+  CLOUDPROV_METRIC(drift_response_bias);
+  CLOUDPROV_METRIC(spans_traced);
+  CLOUDPROV_METRIC(billed_cost);
+  CLOUDPROV_METRIC(on_demand_cost);
+  CLOUDPROV_METRIC(spot_cost);
+  CLOUDPROV_METRIC(reserved_cost);
+  CLOUDPROV_METRIC(on_demand_purchases);
+  CLOUDPROV_METRIC(spot_purchases);
+  CLOUDPROV_METRIC(reserved_purchases);
+  CLOUDPROV_METRIC(spot_revocations);
+  CLOUDPROV_METRIC(revocation_kills);
+  CLOUDPROV_METRIC(lost_to_revocations);
+  CLOUDPROV_METRIC(spot_price_mean);
+  CLOUDPROV_METRIC(spot_price_max);
+  CLOUDPROV_METRIC(client_requests);
+  CLOUDPROV_METRIC(client_succeeded);
+  CLOUDPROV_METRIC(client_failed);
+  CLOUDPROV_METRIC(client_attempts);
+  CLOUDPROV_METRIC(client_retries);
+  CLOUDPROV_METRIC(retry_budget_denied);
+  CLOUDPROV_METRIC(client_timeouts);
+  CLOUDPROV_METRIC(wasted_completions);
+  CLOUDPROV_METRIC(breaker_opens);
+  CLOUDPROV_METRIC(breaker_half_opens);
+  CLOUDPROV_METRIC(breaker_closes);
+  CLOUDPROV_METRIC(breaker_fast_fails);
+  CLOUDPROV_METRIC(shed_deadline);
+  CLOUDPROV_METRIC(shed_brownout);
+  CLOUDPROV_METRIC(capacity_clips);
+  CLOUDPROV_METRIC(capacity_denied);
+  CLOUDPROV_METRIC(cache_hits);
+  CLOUDPROV_METRIC(cache_misses);
+  CLOUDPROV_METRIC(cache_hit_ratio);
+  CLOUDPROV_METRIC(cache_fills);
+  CLOUDPROV_METRIC(cache_evictions);
+  CLOUDPROV_METRIC(cache_expirations);
+  CLOUDPROV_METRIC(cache_invalidations);
+  CLOUDPROV_METRIC(cache_flushes);
+  CLOUDPROV_METRIC(cache_vm_hours);
+  CLOUDPROV_METRIC(cache_utilization);
+  CLOUDPROV_METRIC(cache_avg_instances);
+  CLOUDPROV_METRIC(cache_final_instances);
+  CLOUDPROV_METRIC(lambda_miss_mean);
+  CLOUDPROV_METRIC(cache_avg_response_time);
+  CLOUDPROV_METRIC(backend_avg_response_time);
+  CLOUDPROV_METRIC(simulated_events);
+  CLOUDPROV_METRIC(wall_seconds);
+#undef CLOUDPROV_METRIC
+}
+
+/// The first field, in declaration order, where `a` and `b` differ, as
+/// "name: a_value vs b_value"; nullopt when every compared field matches.
+/// Doubles compare as bit patterns. `wall_seconds` (host time, not
+/// simulation) and `policy` (the label; callers compare it when labels
+/// should match) are skipped, as is every field named in `ignore`.
+std::optional<std::string> first_metric_difference(
+    const RunMetrics& a, const RunMetrics& b,
+    std::initializer_list<std::string_view> ignore = {});
 
 /// Mean and 95% CI of each headline metric across replications.
 struct AggregateMetrics {

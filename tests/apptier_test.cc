@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,46 +36,12 @@
 namespace cloudprov {
 namespace {
 
-// Deterministic RunMetrics fields a tiered run exercises, compared exactly.
-// The backend headline fields plus every cache_* field — a restored tier
+// Every deterministic RunMetrics field, compared exactly — a restored tier
 // that drifts in any counter (or in the RNG-driven response stats) fails.
-#define EXPECT_SAME(field) EXPECT_EQ(a.field, b.field) << #field
 void expect_identical_tiered(const RunMetrics& a, const RunMetrics& b) {
-  EXPECT_SAME(generated);
-  EXPECT_SAME(accepted);
-  EXPECT_SAME(rejected);
-  EXPECT_SAME(completed);
-  EXPECT_SAME(qos_violations);
-  EXPECT_SAME(avg_response_time);
-  EXPECT_SAME(std_response_time);
-  EXPECT_SAME(p95_response_time);
-  EXPECT_SAME(p99_response_time);
-  EXPECT_SAME(min_instances);
-  EXPECT_SAME(max_instances);
-  EXPECT_SAME(avg_instances);
-  EXPECT_SAME(vm_hours);
-  EXPECT_SAME(busy_vm_hours);
-  EXPECT_SAME(utilization);
-  EXPECT_SAME(rejection_rate);
-  EXPECT_SAME(final_instances);
-  EXPECT_SAME(cache_hits);
-  EXPECT_SAME(cache_misses);
-  EXPECT_SAME(cache_hit_ratio);
-  EXPECT_SAME(cache_fills);
-  EXPECT_SAME(cache_evictions);
-  EXPECT_SAME(cache_expirations);
-  EXPECT_SAME(cache_invalidations);
-  EXPECT_SAME(cache_flushes);
-  EXPECT_SAME(cache_vm_hours);
-  EXPECT_SAME(cache_utilization);
-  EXPECT_SAME(cache_avg_instances);
-  EXPECT_SAME(cache_final_instances);
-  EXPECT_SAME(lambda_miss_mean);
-  EXPECT_SAME(cache_avg_response_time);
-  EXPECT_SAME(backend_avg_response_time);
-  EXPECT_SAME(simulated_events);
+  const std::optional<std::string> difference = first_metric_difference(a, b);
+  EXPECT_FALSE(difference) << *difference;
 }
-#undef EXPECT_SAME
 
 // Tiered Zipf smoke: the AB14 sizing section's literals at a 4 h horizon.
 ScenarioConfig tiered_config(double scale = 0.02) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "experiment/metrics.h"
 #include "experiment/report.h"
@@ -114,6 +116,33 @@ TEST(Runner, ParallelReplicationsMatchSequential) {
   }
 }
 
+// RunMetrics holds 8-byte counters and doubles plus the policy string, with
+// no padding, so the visited sizes add up to the struct exactly when
+// for_each_field lists every field.
+TEST(RunMetricsFields, ForEachFieldCoversTheWholeStruct) {
+  RunMetrics metrics;
+  std::size_t bytes = 0;
+  for_each_field([&bytes](const char*, const auto& field) { bytes += sizeof(field); },
+                 metrics);
+  EXPECT_EQ(bytes, sizeof(RunMetrics))
+      << "a RunMetrics field is missing from for_each_field";
+}
+
+TEST(RunMetricsFields, FirstDifferenceComparesBitPatterns) {
+  RunMetrics a;
+  RunMetrics b = a;
+  b.policy = "other label";
+  b.wall_seconds = 9.0;
+  EXPECT_EQ(first_metric_difference(a, b), std::nullopt);
+
+  b.simulated_events = 7;
+  EXPECT_EQ(first_metric_difference(a, b), "simulated_events: 0 vs 7");
+  EXPECT_EQ(first_metric_difference(a, b, {"simulated_events"}), std::nullopt);
+
+  b.avg_response_time = -0.0;  // == 0.0, but a different bit pattern
+  EXPECT_EQ(first_metric_difference(a, b), "avg_response_time: 0 vs -0");
+}
+
 TEST(Runner, ParallelReplicationsAreElementWiseIdenticalAcrossAllFields) {
   // Stronger form of the spot checks above: every deterministic RunMetrics
   // field must be element-wise identical between parallelism=1 and
@@ -128,65 +157,12 @@ TEST(Runner, ParallelReplicationsAreElementWiseIdenticalAcrossAllFields) {
   const auto parallel = run_replications(config, PolicySpec::adaptive(), 4,
                                          13, {}, /*parallelism=*/4);
   ASSERT_EQ(sequential.size(), parallel.size());
-#define EXPECT_REP_FIELD_EQ(field) \
-  EXPECT_EQ(sequential[i].field, parallel[i].field) << #field << " rep " << i
   for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_REP_FIELD_EQ(policy);
-    EXPECT_REP_FIELD_EQ(seed);
-    EXPECT_REP_FIELD_EQ(generated);
-    EXPECT_REP_FIELD_EQ(accepted);
-    EXPECT_REP_FIELD_EQ(rejected);
-    EXPECT_REP_FIELD_EQ(completed);
-    EXPECT_REP_FIELD_EQ(qos_violations);
-    EXPECT_REP_FIELD_EQ(avg_response_time);
-    EXPECT_REP_FIELD_EQ(std_response_time);
-    EXPECT_REP_FIELD_EQ(p95_response_time);
-    EXPECT_REP_FIELD_EQ(p99_response_time);
-    EXPECT_REP_FIELD_EQ(min_instances);
-    EXPECT_REP_FIELD_EQ(max_instances);
-    EXPECT_REP_FIELD_EQ(avg_instances);
-    EXPECT_REP_FIELD_EQ(vm_hours);
-    EXPECT_REP_FIELD_EQ(busy_vm_hours);
-    EXPECT_REP_FIELD_EQ(utilization);
-    EXPECT_REP_FIELD_EQ(rejection_rate);
-    EXPECT_REP_FIELD_EQ(instance_failures);
-    EXPECT_REP_FIELD_EQ(vm_crashes);
-    EXPECT_REP_FIELD_EQ(host_crashes);
-    EXPECT_REP_FIELD_EQ(boot_failures);
-    EXPECT_REP_FIELD_EQ(boot_timeouts);
-    EXPECT_REP_FIELD_EQ(lost_requests);
-    EXPECT_REP_FIELD_EQ(lost_to_vm_crashes);
-    EXPECT_REP_FIELD_EQ(lost_to_host_crashes);
-    EXPECT_REP_FIELD_EQ(availability);
-    EXPECT_REP_FIELD_EQ(recoveries);
-    EXPECT_REP_FIELD_EQ(mttr_mean);
-    EXPECT_REP_FIELD_EQ(mttr_max);
-    EXPECT_REP_FIELD_EQ(reconciler_heals);
-    EXPECT_REP_FIELD_EQ(reconciler_retries);
-    EXPECT_REP_FIELD_EQ(reconciler_aborts);
-    EXPECT_REP_FIELD_EQ(final_instances);
-    EXPECT_REP_FIELD_EQ(slo_response_alerts);
-    EXPECT_REP_FIELD_EQ(slo_rejection_alerts);
-    EXPECT_REP_FIELD_EQ(slo_worst_burn_rate);
-    EXPECT_REP_FIELD_EQ(drift_windows);
-    EXPECT_REP_FIELD_EQ(drift_response_mape);
-    EXPECT_REP_FIELD_EQ(drift_response_bias);
-    EXPECT_REP_FIELD_EQ(spans_traced);
-    EXPECT_REP_FIELD_EQ(billed_cost);
-    EXPECT_REP_FIELD_EQ(on_demand_cost);
-    EXPECT_REP_FIELD_EQ(spot_cost);
-    EXPECT_REP_FIELD_EQ(reserved_cost);
-    EXPECT_REP_FIELD_EQ(on_demand_purchases);
-    EXPECT_REP_FIELD_EQ(spot_purchases);
-    EXPECT_REP_FIELD_EQ(reserved_purchases);
-    EXPECT_REP_FIELD_EQ(spot_revocations);
-    EXPECT_REP_FIELD_EQ(revocation_kills);
-    EXPECT_REP_FIELD_EQ(lost_to_revocations);
-    EXPECT_REP_FIELD_EQ(spot_price_mean);
-    EXPECT_REP_FIELD_EQ(spot_price_max);
-    EXPECT_REP_FIELD_EQ(simulated_events);
+    EXPECT_EQ(sequential[i].policy, parallel[i].policy) << "rep " << i;
+    const std::optional<std::string> difference =
+        first_metric_difference(sequential[i], parallel[i]);
+    EXPECT_FALSE(difference) << *difference << " rep " << i;
   }
-#undef EXPECT_REP_FIELD_EQ
   // Spot must actually have been exercised for the market block to bite.
   EXPECT_GT(sequential[0].spot_purchases, 0u);
 }

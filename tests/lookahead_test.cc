@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -38,94 +39,13 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return hash;
 }
 
-// Every deterministic RunMetrics field, compared exactly (doubles with ==).
-// wall_seconds is the only exclusion: it measures the host, not the
-// simulation. `policy` is compared by the caller when labels should match.
-#define EXPECT_SAME(field) EXPECT_EQ(a.field, b.field) << #field
+// Every deterministic RunMetrics field, compared exactly (doubles as bit
+// patterns; see first_metric_difference). `policy` is compared by the caller
+// when labels should match.
 void expect_identical_metrics(const RunMetrics& a, const RunMetrics& b) {
-  EXPECT_SAME(generated);
-  EXPECT_SAME(accepted);
-  EXPECT_SAME(rejected);
-  EXPECT_SAME(completed);
-  EXPECT_SAME(qos_violations);
-  EXPECT_SAME(avg_response_time);
-  EXPECT_SAME(std_response_time);
-  EXPECT_SAME(p95_response_time);
-  EXPECT_SAME(p99_response_time);
-  EXPECT_SAME(min_instances);
-  EXPECT_SAME(max_instances);
-  EXPECT_SAME(avg_instances);
-  EXPECT_SAME(vm_hours);
-  EXPECT_SAME(busy_vm_hours);
-  EXPECT_SAME(utilization);
-  EXPECT_SAME(rejection_rate);
-  EXPECT_SAME(instance_failures);
-  EXPECT_SAME(vm_crashes);
-  EXPECT_SAME(host_crashes);
-  EXPECT_SAME(boot_failures);
-  EXPECT_SAME(boot_timeouts);
-  EXPECT_SAME(lost_requests);
-  EXPECT_SAME(lost_to_vm_crashes);
-  EXPECT_SAME(lost_to_host_crashes);
-  EXPECT_SAME(availability);
-  EXPECT_SAME(recoveries);
-  EXPECT_SAME(mttr_mean);
-  EXPECT_SAME(mttr_max);
-  EXPECT_SAME(reconciler_heals);
-  EXPECT_SAME(reconciler_retries);
-  EXPECT_SAME(reconciler_aborts);
-  EXPECT_SAME(final_instances);
-  EXPECT_SAME(slo_response_alerts);
-  EXPECT_SAME(slo_rejection_alerts);
-  EXPECT_SAME(slo_worst_burn_rate);
-  EXPECT_SAME(drift_windows);
-  EXPECT_SAME(drift_response_mape);
-  EXPECT_SAME(drift_response_bias);
-  EXPECT_SAME(spans_traced);
-  EXPECT_SAME(billed_cost);
-  EXPECT_SAME(on_demand_cost);
-  EXPECT_SAME(spot_cost);
-  EXPECT_SAME(reserved_cost);
-  EXPECT_SAME(on_demand_purchases);
-  EXPECT_SAME(spot_purchases);
-  EXPECT_SAME(reserved_purchases);
-  EXPECT_SAME(spot_revocations);
-  EXPECT_SAME(revocation_kills);
-  EXPECT_SAME(lost_to_revocations);
-  EXPECT_SAME(spot_price_mean);
-  EXPECT_SAME(spot_price_max);
-  EXPECT_SAME(client_requests);
-  EXPECT_SAME(client_succeeded);
-  EXPECT_SAME(client_failed);
-  EXPECT_SAME(client_attempts);
-  EXPECT_SAME(client_retries);
-  EXPECT_SAME(retry_budget_denied);
-  EXPECT_SAME(client_timeouts);
-  EXPECT_SAME(wasted_completions);
-  EXPECT_SAME(breaker_opens);
-  EXPECT_SAME(breaker_half_opens);
-  EXPECT_SAME(breaker_closes);
-  EXPECT_SAME(breaker_fast_fails);
-  EXPECT_SAME(shed_deadline);
-  EXPECT_SAME(shed_brownout);
-  EXPECT_SAME(cache_hits);
-  EXPECT_SAME(cache_misses);
-  EXPECT_SAME(cache_hit_ratio);
-  EXPECT_SAME(cache_fills);
-  EXPECT_SAME(cache_evictions);
-  EXPECT_SAME(cache_expirations);
-  EXPECT_SAME(cache_invalidations);
-  EXPECT_SAME(cache_flushes);
-  EXPECT_SAME(cache_vm_hours);
-  EXPECT_SAME(cache_utilization);
-  EXPECT_SAME(cache_avg_instances);
-  EXPECT_SAME(cache_final_instances);
-  EXPECT_SAME(lambda_miss_mean);
-  EXPECT_SAME(cache_avg_response_time);
-  EXPECT_SAME(backend_avg_response_time);
-  EXPECT_SAME(simulated_events);
+  const std::optional<std::string> difference = first_metric_difference(a, b);
+  EXPECT_FALSE(difference) << *difference;
 }
-#undef EXPECT_SAME
 
 // Figure 5 smoke (same literals the kernel golden test pins): web workload
 // at scale 0.01, one day, adaptive, seed 42, every request traced.

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -39,59 +40,9 @@ std::uint64_t double_bits(double value) {
 /// wall_seconds is the one honest difference; everything else must match
 /// to the last bit (doubles are compared as bit patterns).
 void expect_bit_identical(const RunMetrics& a, const RunMetrics& b) {
-#define CLOUDPROV_EQ_INT(field) EXPECT_EQ(a.field, b.field) << #field
-#define CLOUDPROV_EQ_DBL(field)                              \
-  EXPECT_EQ(double_bits(a.field), double_bits(b.field))      \
-      << #field << ": " << a.field << " vs " << b.field
-  CLOUDPROV_EQ_INT(policy);
-  CLOUDPROV_EQ_INT(seed);
-  CLOUDPROV_EQ_INT(generated);
-  CLOUDPROV_EQ_INT(accepted);
-  CLOUDPROV_EQ_INT(rejected);
-  CLOUDPROV_EQ_INT(completed);
-  CLOUDPROV_EQ_INT(qos_violations);
-  CLOUDPROV_EQ_DBL(avg_response_time);
-  CLOUDPROV_EQ_DBL(std_response_time);
-  CLOUDPROV_EQ_DBL(p95_response_time);
-  CLOUDPROV_EQ_DBL(p99_response_time);
-  CLOUDPROV_EQ_DBL(min_instances);
-  CLOUDPROV_EQ_DBL(max_instances);
-  CLOUDPROV_EQ_DBL(avg_instances);
-  CLOUDPROV_EQ_DBL(vm_hours);
-  CLOUDPROV_EQ_DBL(busy_vm_hours);
-  CLOUDPROV_EQ_DBL(utilization);
-  CLOUDPROV_EQ_DBL(rejection_rate);
-  CLOUDPROV_EQ_INT(instance_failures);
-  CLOUDPROV_EQ_INT(vm_crashes);
-  CLOUDPROV_EQ_INT(host_crashes);
-  CLOUDPROV_EQ_INT(boot_failures);
-  CLOUDPROV_EQ_INT(boot_timeouts);
-  CLOUDPROV_EQ_INT(lost_requests);
-  CLOUDPROV_EQ_DBL(availability);
-  CLOUDPROV_EQ_INT(recoveries);
-  CLOUDPROV_EQ_DBL(mttr_mean);
-  CLOUDPROV_EQ_DBL(mttr_max);
-  CLOUDPROV_EQ_INT(reconciler_heals);
-  CLOUDPROV_EQ_INT(final_instances);
-  CLOUDPROV_EQ_INT(slo_response_alerts);
-  CLOUDPROV_EQ_INT(slo_rejection_alerts);
-  CLOUDPROV_EQ_INT(drift_windows);
-  CLOUDPROV_EQ_INT(spans_traced);
-  CLOUDPROV_EQ_DBL(billed_cost);
-  CLOUDPROV_EQ_DBL(on_demand_cost);
-  CLOUDPROV_EQ_DBL(spot_cost);
-  CLOUDPROV_EQ_INT(on_demand_purchases);
-  CLOUDPROV_EQ_INT(spot_purchases);
-  CLOUDPROV_EQ_INT(spot_revocations);
-  CLOUDPROV_EQ_INT(revocation_kills);
-  CLOUDPROV_EQ_INT(lost_to_revocations);
-  CLOUDPROV_EQ_DBL(spot_price_mean);
-  CLOUDPROV_EQ_DBL(spot_price_max);
-  CLOUDPROV_EQ_INT(capacity_clips);
-  CLOUDPROV_EQ_INT(capacity_denied);
-  CLOUDPROV_EQ_INT(simulated_events);
-#undef CLOUDPROV_EQ_INT
-#undef CLOUDPROV_EQ_DBL
+  EXPECT_EQ(a.policy, b.policy);
+  const std::optional<std::string> difference = first_metric_difference(a, b);
+  EXPECT_FALSE(difference) << *difference;
 }
 
 std::uint64_t span_csv_hash(const TenantResult& tenant) {
@@ -461,12 +412,6 @@ TEST(MultiTenantGolden, TieredZipfTenantsMatchAcrossShardCounts) {
   for (std::size_t i = 0; i < base.tenants.size(); ++i) {
     SCOPED_TRACE("tenant " + std::to_string(i));
     expect_bit_identical(base.tenants[i].metrics, sharded.tenants[i].metrics);
-    EXPECT_EQ(base.tenants[i].metrics.cache_hits,
-              sharded.tenants[i].metrics.cache_hits);
-    EXPECT_EQ(base.tenants[i].metrics.cache_misses,
-              sharded.tenants[i].metrics.cache_misses);
-    EXPECT_EQ(double_bits(base.tenants[i].metrics.cache_vm_hours),
-              double_bits(sharded.tenants[i].metrics.cache_vm_hours));
   }
 }
 
