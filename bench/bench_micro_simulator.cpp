@@ -19,6 +19,7 @@
 #include "workload/bot_workload.h"
 #include "workload/poisson_source.h"
 #include "workload/web_workload.h"
+#include "workload/zipf_workload.h"
 
 namespace cloudprov {
 namespace {
@@ -239,6 +240,48 @@ void BM_BotWorkloadGeneration(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(generated));
 }
 BENCHMARK(BM_BotWorkloadGeneration)->Unit(benchmark::kMillisecond);
+
+// Zipf rank sampling alone: one uniform draw mapped to a popularity rank
+// over the default 20000-key, alpha 0.9 key space (the tiered scenarios'
+// sampler). Items/s counts ranks.
+void BM_ZipfSampleRank(benchmark::State& state) {
+  const ZipfWorkload workload{ZipfWorkloadConfig{}};
+  Rng rng(3);
+  std::uint64_t sampled = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(workload.rank_for(rng.uniform()));
+    ++sampled;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(sampled));
+}
+BENCHMARK(BM_ZipfSampleRank);
+
+// The tiered serve path end to end: two hours of the Zipf key-value
+// scenario (scale 0.02) behind the cache tier under the adaptive planner —
+// Zipf sampling, the LRU/TTL directory, cache hits and backend misses with
+// fills. World build and finish are untimed; items/s counts served
+// requests (every generated request does one directory lookup).
+void BM_TieredZipfServe(benchmark::State& state) {
+  ScenarioConfig config = zipf_scenario(0.02);
+  config.horizon = 2.0 * 3600.0;
+  config.zipf.horizon = config.horizon;
+  config.apptier.enabled = true;
+  std::uint64_t served = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto world = std::make_unique<World>(config, PolicySpec::adaptive(), 42);
+    world->start();
+    state.ResumeTiming();
+    world->run_to(config.horizon);
+    state.PauseTiming();
+    const RunOutput out = world->finish();
+    served += out.metrics.cache_hits + out.metrics.cache_misses;
+    world.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(served));
+}
+BENCHMARK(BM_TieredZipfServe)->Unit(benchmark::kMillisecond);
 
 // Sharded multi-tenant scale-out: 16 tenants contending for shared capacity,
 // partitioned across N worker shards with a barrier commit every 60 s

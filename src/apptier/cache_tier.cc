@@ -67,14 +67,13 @@ std::size_t CacheTier::directory_capacity() const {
 
 std::uint32_t CacheTier::slot_for(std::uint64_t key) const {
   const std::size_t active = cache_pool_.active_instances();
-  return active > 0 ? static_cast<std::uint32_t>(key % active) : 0;
-}
-
-void CacheTier::erase_entry(std::uint64_t key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) return;
-  lru_.erase(it->second);
-  index_.erase(it);
+  if (active == 0) return 0;
+  // Same value as key % active; the 32-bit division is the common case
+  // (Zipf keys fit in 32 bits) and costs well under the 64-bit one.
+  if ((key | active) <= 0xffffffffu) {
+    return static_cast<std::uint32_t>(key) % static_cast<std::uint32_t>(active);
+  }
+  return static_cast<std::uint32_t>(key % active);
 }
 
 void CacheTier::on_request(const Request& request) {
@@ -83,20 +82,20 @@ void CacheTier::on_request(const Request& request) {
   const SimTime now = sim_.now();
   bool hit = false;
   if (request.key != 0 && cache_pool_.active_instances() > 0) {
-    auto it = index_.find(request.key);
-    if (it != index_.end()) {
-      Entry& entry = *it->second;
+    const std::uint32_t position = directory_.find(request.key);
+    if (position != LruDirectory::kNone) {
+      const LruDirectory::Node& entry = directory_.at(position);
       if (entry.expiry <= now) {
         ++expirations_;
-        erase_entry(request.key);
+        directory_.erase_at(position);
       } else if (entry.slot != slot_for(request.key)) {
         // Modulo-sharded slot moved (crash/resize): the resident copy is on
         // the wrong cache VM now — a real fleet would miss here too.
         ++invalidations_;
-        erase_entry(request.key);
+        directory_.erase_at(position);
       } else {
         hit = true;
-        lru_.splice(lru_.begin(), lru_, it->second);  // LRU touch
+        directory_.touch(position);  // LRU touch
       }
     }
   }
@@ -169,17 +168,18 @@ void CacheTier::on_backend_complete(const Request& request,
   const std::size_t capacity = directory_capacity();
   if (capacity == 0) return;  // no active cache VMs: nothing to fill into
   const SimTime now = sim_.now();
-  erase_entry(request.key);
-  lru_.push_front(
-      Entry{request.key, now + config_.ttl, slot_for(request.key)});
-  index_[request.key] = lru_.begin();
-  ++fills_;
-  if (telemetry_ != nullptr) telemetry_->cache_fill(now, request.id);
-  while (lru_.size() > capacity) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
+  directory_.reserve(capacity);  // no-op unless the capacity grew
+  directory_.erase(request.key);
+  // Evicting the LRU tail down to capacity - 1 before the push leaves the
+  // same entries as pushing first and evicting down to capacity: the new
+  // entry is the MRU head and never the tail while capacity >= 1.
+  while (directory_.size() >= capacity) {
+    directory_.pop_back();
     ++evictions_;
   }
+  directory_.push_front(request.key, now + config_.ttl, slot_for(request.key));
+  ++fills_;
+  if (telemetry_ != nullptr) telemetry_->cache_fill(now, request.id);
 }
 
 void CacheTier::record_completion(double response_time) {
@@ -191,9 +191,8 @@ void CacheTier::record_completion(double response_time) {
 
 void CacheTier::fire_flush(std::size_t index) {
   flush_events_[index] = kInvalidEventId;
-  const std::size_t dropped = lru_.size();
-  lru_.clear();
-  index_.clear();
+  const std::size_t dropped = directory_.size();
+  directory_.clear();
   ++flushes_;
   if (telemetry_ != nullptr) {
     telemetry_->cache_flush(sim_.now(), dropped);
@@ -212,11 +211,11 @@ void CacheTier::fire_crash(std::size_t index) {
 
 void CacheTier::capture(ApptierState& state) const {
   state.directory.clear();
-  state.directory.reserve(lru_.size());
-  for (const Entry& entry : lru_) {
+  state.directory.reserve(directory_.size());
+  directory_.for_each([&state](const LruDirectory::Node& entry) {
     state.directory.push_back(
         ApptierState::DirectoryEntry{entry.key, entry.expiry, entry.slot});
-  }
+  });
   state.rng = rng_.state();
   state.hits = hits_;
   state.misses = misses_;
@@ -244,11 +243,16 @@ void CacheTier::capture(ApptierState& state) const {
 }
 
 void CacheTier::restore(const ApptierState& state) {
-  ensure(lru_.empty() && flush_events_.empty() && crash_events_.empty(),
+  ensure(directory_.size() == 0 && flush_events_.empty() &&
+             crash_events_.empty(),
          "CacheTier::restore: tier already started");
-  for (const ApptierState::DirectoryEntry& entry : state.directory) {
-    lru_.push_back(Entry{entry.key, entry.expiry, entry.slot});
-    index_[entry.key] = std::prev(lru_.end());
+  // Pushing LRU -> MRU at the front rebuilds the captured MRU -> LRU order.
+  directory_.reserve(state.directory.size());
+  for (auto it = state.directory.rbegin(); it != state.directory.rend();
+       ++it) {
+    ensure_arg(directory_.find(it->key) == LruDirectory::kNone,
+               "CacheTier::restore: duplicate directory key");
+    directory_.push_front(it->key, it->expiry, it->slot);
   }
   rng_.set_state(state.rng);
   hits_ = state.hits;

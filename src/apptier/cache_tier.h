@@ -8,8 +8,9 @@
 //   miss -> the request is forwarded unchanged to the backend sink; when the
 //           backend completes it, the key is filled with expiry now + TTL.
 //
-// The directory is an LRU list + index with lazy TTL expiry. Entries are
-// tagged with the modulo shard slot (key % active cache VMs) current at fill
+// The directory is a flat LRU (lru_directory.h: node array + open-addressed
+// index, no per-entry allocation) with lazy TTL expiry. Entries are tagged
+// with the modulo shard slot (key % active cache VMs) current at fill
 // time; a lookup whose recomputed slot disagrees counts as an invalidation —
 // so cache-VM crashes and resizes produce the realistic warmup transient of
 // a consistent-hashing-free memcached fleet. Total capacity scales with the
@@ -21,12 +22,11 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "apptier/apptier_config.h"
+#include "apptier/lru_directory.h"
 #include "cloud/broker.h"
 #include "core/adaptive_policy.h"
 #include "core/application_provisioner.h"
@@ -129,7 +129,7 @@ class CacheTier final : public RequestSink {
   /// first closed window.
   double planning_hit_ratio() const;
   double last_window_hit_ratio() const { return last_window_hit_ratio_; }
-  std::size_t directory_size() const { return lru_.size(); }
+  std::size_t directory_size() const { return directory_.size(); }
   std::size_t directory_capacity() const;
 
   std::uint64_t hits() const { return hits_; }
@@ -167,14 +167,7 @@ class CacheTier final : public RequestSink {
   void restore(const ApptierState& state);
 
  private:
-  struct Entry {
-    std::uint64_t key = 0;
-    SimTime expiry = 0.0;
-    std::uint32_t slot = 0;
-  };
-
   std::uint32_t slot_for(std::uint64_t key) const;
-  void erase_entry(std::uint64_t key);
   void on_cache_complete(const Request& request, double response_time);
   void on_backend_complete(const Request& request, double response_time);
   void record_completion(double response_time);
@@ -191,8 +184,7 @@ class CacheTier final : public RequestSink {
   Telemetry* telemetry_ = nullptr;
   ScaledUniformDistribution cache_demand_;
 
-  std::list<Entry> lru_;  ///< front = MRU
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+  LruDirectory directory_;
 
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

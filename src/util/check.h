@@ -7,6 +7,11 @@
 // message is a const char* and the exception string is only built inside the
 // cold [[noreturn]] helpers. std::string overloads remain for call sites
 // that compose their message (CLI parsing and similar cold paths).
+//
+// ensure() reports an internal invariant, so its message carries the
+// file:line of the check. ensure_arg() reports a caller-supplied value and
+// throws the bare message: it reaches users (`run_scenario` prints it as
+// "error: <what>"), who need the value that was wrong, not a source path.
 #pragma once
 
 #include <source_location>
@@ -23,10 +28,8 @@ namespace detail {
                          std::to_string(loc.line()) + ": " + message);
 }
 
-[[noreturn]] inline void throw_ensure_arg(const char* message,
-                                          const std::source_location& loc) {
-  throw std::invalid_argument(std::string(loc.file_name()) + ":" +
-                              std::to_string(loc.line()) + ": " + message);
+[[noreturn]] inline void throw_ensure_arg(const char* message) {
+  throw std::invalid_argument(message);
 }
 
 }  // namespace detail
@@ -42,13 +45,11 @@ inline void ensure(bool condition, const std::string& message,
 }
 
 /// Throws std::invalid_argument for caller-supplied bad values.
-inline void ensure_arg(bool condition, const char* message,
-                       std::source_location loc = std::source_location::current()) {
-  if (!condition) [[unlikely]] detail::throw_ensure_arg(message, loc);
+inline void ensure_arg(bool condition, const char* message) {
+  if (!condition) [[unlikely]] detail::throw_ensure_arg(message);
 }
-inline void ensure_arg(bool condition, const std::string& message,
-                       std::source_location loc = std::source_location::current()) {
-  if (!condition) [[unlikely]] detail::throw_ensure_arg(message.c_str(), loc);
+inline void ensure_arg(bool condition, const std::string& message) {
+  if (!condition) [[unlikely]] detail::throw_ensure_arg(message.c_str());
 }
 
 }  // namespace cloudprov

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/check.h"
 
@@ -11,6 +12,8 @@ ZipfWorkload::ZipfWorkload(ZipfWorkloadConfig config)
     : config_(config),
       service_demand_(config.service_base, config.service_spread) {
   ensure_arg(config_.num_keys >= 1, "ZipfWorkload: need at least one key");
+  ensure_arg(config_.num_keys <= std::numeric_limits<std::uint32_t>::max(),
+             "ZipfWorkload: num_keys must fit in 32 bits");
   ensure_arg(config_.alpha >= 0.0, "ZipfWorkload: alpha must be >= 0");
   ensure_arg(config_.base_rate >= 0.0, "ZipfWorkload: base_rate must be >= 0");
   ensure_arg(config_.rate_interval > 0.0,
@@ -33,8 +36,21 @@ ZipfWorkload::ZipfWorkload(ZipfWorkloadConfig config)
     harmonic += std::pow(static_cast<double>(r), -config_.alpha);
     cdf_[r - 1] = harmonic;
   }
-  for (double& c : cdf_) c /= harmonic;
-  cdf_.back() = 1.0;  // guard against rounding
+  // Normalise, with the last entry pinned to 1.0 against rounding, and cut
+  // the guide in the same pass: every cut point j / kGuide at or below
+  // cdf_[i] that no earlier entry reached points at i.
+  constexpr double kBucket = 1.0 / static_cast<double>(kGuide);  // exact
+  guide_.resize(kGuide + 1);
+  std::size_t cut = 0;
+  double cut_point = 0.0;  // cut * kBucket
+  const std::size_t last = cdf_.size() - 1;
+  for (std::size_t i = 0; i <= last; ++i) {
+    cdf_[i] = i == last ? 1.0 : cdf_[i] / harmonic;
+    while (cut <= kGuide && cut_point <= cdf_[i]) {
+      guide_[cut++] = static_cast<std::uint32_t>(i);
+      cut_point = static_cast<double>(cut) * kBucket;
+    }
+  }
 }
 
 double ZipfWorkload::expected_rate(SimTime t) const {
@@ -51,13 +67,24 @@ std::uint64_t ZipfWorkload::key_for_rank(std::uint64_t rank, SimTime t) const {
   for (SimTime at : config_.hot_shift_at) {
     if (t >= at) ++shifts;
   }
-  const std::uint64_t offset = (shifts * shift_stride_) % config_.num_keys;
-  return (rank - 1 + offset) % config_.num_keys + 1;
+  // Divide only when a shift or an out-of-range rank needs it: a 64-bit
+  // modulo costs more than the rest of the mapping, and ranks drawn from
+  // the CDF are already in [1, num_keys].
+  const std::uint64_t offset =
+      shifts > 0 ? (shifts * shift_stride_) % config_.num_keys : 0;
+  const std::uint64_t index = rank - 1 + offset;
+  return (index < config_.num_keys ? index : index % config_.num_keys) + 1;
 }
 
-std::uint64_t ZipfWorkload::sample_rank(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+std::uint64_t ZipfWorkload::rank_for(double u) const {
+  // u * kGuide is exact (kGuide is a power of two); the range is still
+  // widened by one bucket on each side so it holds the lower_bound of the
+  // full search whatever the rounding.
+  const std::size_t bucket = std::min(
+      static_cast<std::size_t>(u * static_cast<double>(kGuide)), kGuide - 1);
+  const auto first = cdf_.begin() + guide_[bucket > 0 ? bucket - 1 : 0];
+  const auto last = cdf_.begin() + guide_[std::min(bucket + 2, kGuide)];
+  const auto it = std::lower_bound(first, last, u);
   return static_cast<std::uint64_t>(it - cdf_.begin()) + 1;
 }
 
@@ -103,7 +130,7 @@ std::optional<Arrival> ZipfWorkload::next(Rng& rng) {
     if (cursor_ >= config_.horizon) return std::nullopt;
     // Fixed draw order after the arrival time: service demand, then key.
     Arrival arrival{cursor_, service_demand_.sample(rng)};
-    arrival.key = key_for_rank(sample_rank(rng), cursor_);
+    arrival.key = key_for_rank(rank_for(rng.uniform()), cursor_);
     return arrival;
   }
 }

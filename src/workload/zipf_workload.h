@@ -18,6 +18,7 @@
 // the identical encoding.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -79,17 +80,28 @@ class ZipfWorkload final : public RequestSource {
   /// shifts; exposed for tests.
   std::uint64_t key_for_rank(std::uint64_t rank, SimTime t) const;
 
+  /// Popularity rank (1-based) of a uniform draw u in [0, 1]: one plus the
+  /// lower_bound of u in cdf(), found through the guide table. Exposed so
+  /// tests can check it against the full search.
+  std::uint64_t rank_for(double u) const;
+  /// Cumulative Zipf probabilities by rank: cdf()[r - 1] = P[rank <= r].
+  const std::vector<double>& cdf() const { return cdf_; }
+
   void save_state(std::vector<double>& out) const override;
   void load_state(const std::vector<double>& in) override;
 
  private:
   void begin_interval(SimTime t, Rng& rng);
-  std::uint64_t sample_rank(Rng& rng) const;
 
   ZipfWorkloadConfig config_;
   ScaledUniformDistribution service_demand_;
-  /// Cumulative Zipf probabilities by rank (cdf_[r-1] = P[rank <= r]).
   std::vector<double> cdf_;
+  /// Chen-Asau guide: guide_[j] = first index i with cdf_[i] >= j / kGuide,
+  /// for j in [0, kGuide]. A uniform u in bucket floor(u * kGuide) has its
+  /// lower_bound inside [guide_[j], guide_[j + 1]], so rank_for searches
+  /// that short range (widened by a bucket each side) instead of all of cdf_.
+  static constexpr std::size_t kGuide = 4096;
+  std::vector<std::uint32_t> guide_;
   std::uint64_t shift_stride_ = 0;
   SimTime cursor_ = 0.0;
   SimTime interval_end_ = 0.0;

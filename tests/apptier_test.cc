@@ -13,15 +13,26 @@
 //   - snapshot/restore bit-identity of tiered worlds (including a snapshot
 //     inside a TTL storm, with the pending chaos events re-armed),
 //   - disk checkpoints: the v3 codec round-trips the apptier section and
-//     rejects out-of-range versions.
+//     rejects out-of-range versions,
+//   - differential checks of the two fast paths against the plain
+//     structures they replaced: the guide-table Zipf sampler against a full
+//     std::lower_bound over the CDF at adversarial draws, and the flat LRU
+//     directory against a std::list + std::unordered_map reference model
+//     over seeded random operation sequences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <list>
 #include <memory>
 #include <optional>
+#include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "apptier/cache_tier.h"
@@ -158,6 +169,51 @@ TEST(ZipfWorkload, FlashCrowdMultipliesExpectedRate) {
   EXPECT_DOUBLE_EQ(workload.expected_rate(20.0), 50.0);  // end exclusive
   EXPECT_DOUBLE_EQ(workload.expected_rate(-1.0), 0.0);
   EXPECT_DOUBLE_EQ(workload.expected_rate(config.horizon), 0.0);
+}
+
+// The guide-table sampler must return exactly the full search's rank for
+// every draw, including the draws where rounding could bite: each CDF value
+// and its neighbours, every guide bucket edge j / 4096 and its neighbours,
+// 0, and the values just below 1 (and 1 itself).
+TEST(ZipfWorkload, GuidedRankMatchesFullLowerBound) {
+  constexpr double kBuckets = 4096.0;
+  for (const std::uint64_t num_keys :
+       {1ull, 2ull, 7ull, 4096ull, 20000ull, 1000000ull}) {
+    for (const double alpha : {0.0, 0.5, 0.9, 1.0, 1.2}) {
+      ZipfWorkloadConfig config;
+      config.num_keys = num_keys;
+      config.alpha = alpha;
+      const ZipfWorkload workload(config);
+      const std::vector<double>& cdf = workload.cdf();
+      ASSERT_EQ(cdf.size(), num_keys);
+      ASSERT_EQ(cdf.back(), 1.0);
+
+      std::vector<double> draws = {0.0, std::nextafter(1.0, 0.0),
+                                   1.0 - 1e-12, 1.0 - 1e-9, 1.0};
+      const auto around = [&draws](double u) {
+        for (const double v :
+             {std::nextafter(u, 0.0), u, std::nextafter(u, 2.0)}) {
+          if (v >= 0.0 && v <= 1.0) draws.push_back(v);
+        }
+      };
+      for (const double c : cdf) around(c);
+      for (int j = 0; j <= 4096; ++j) around(j / kBuckets);
+
+      std::size_t mismatches = 0;
+      for (const double u : draws) {
+        const auto expected = static_cast<std::uint64_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin() + 1);
+        const std::uint64_t rank = workload.rank_for(u);
+        if (rank != expected && ++mismatches <= 5) {
+          ADD_FAILURE() << "num_keys " << num_keys << " alpha " << alpha
+                        << " u " << std::hexfloat << u << ": rank " << rank
+                        << ", full search " << expected;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u)
+          << "num_keys " << num_keys << " alpha " << alpha;
+    }
+  }
 }
 
 // --- CacheTier mechanics ---------------------------------------------------
@@ -349,6 +405,263 @@ TEST(CacheTier, WindowFoldDrivesPlanningEwma) {
       f.config.hit_ewma_alpha * 1.0 + (1.0 - f.config.hit_ewma_alpha) * 0.5;
   EXPECT_DOUBLE_EQ(f.tier.fold_window(), expected);
   EXPECT_DOUBLE_EQ(f.tier.last_window_hit_ratio(), 1.0);
+}
+
+// --- flat directory vs. the list + hash-map reference ----------------------
+
+// The directory the flat LruDirectory replaced, kept here as the reference:
+// an LRU std::list (front = MRU) indexed by a std::unordered_map, with the
+// tier's rules — lazy TTL expiry and slot-tag invalidation at lookup,
+// erase-then-push-front on a repeated fill, tail eviction while the size
+// exceeds the capacity, and flush clears everything.
+class ReferenceDirectory {
+ public:
+  enum Outcome : char {
+    kHit = 'h',
+    kMiss = 'm',
+    kExpired = 'x',
+    kInvalidated = 'i',
+    kKeyless = 'k',  // key 0 or no active cache VM: no directory lookup
+  };
+
+  Outcome lookup(std::uint64_t key, SimTime now, std::size_t active) {
+    if (key == 0 || active == 0) return kKeyless;
+    const auto it = index_.find(key);
+    if (it == index_.end()) return kMiss;
+    const Entry& entry = *it->second;
+    if (entry.expiry <= now) {
+      erase(key);
+      return kExpired;
+    }
+    if (entry.slot != key % active) {
+      erase(key);
+      return kInvalidated;
+    }
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return kHit;
+  }
+
+  /// Returns the number of evictions.
+  std::size_t fill(std::uint64_t key, SimTime expiry, std::size_t active,
+                   std::size_t capacity) {
+    if (key == 0 || capacity == 0) return 0;
+    erase(key);
+    lru_.push_front(Entry{key, expiry, static_cast<std::uint32_t>(key % active)});
+    index_[key] = lru_.begin();
+    std::size_t evicted = 0;
+    while (lru_.size() > capacity) {
+      index_.erase(lru_.back().key);
+      lru_.pop_back();
+      ++evicted;
+    }
+    return evicted;
+  }
+
+  void flush() {
+    lru_.clear();
+    index_.clear();
+  }
+
+  std::size_t size() const { return lru_.size(); }
+
+  std::vector<ApptierState::DirectoryEntry> capture() const {
+    std::vector<ApptierState::DirectoryEntry> out;
+    for (const Entry& e : lru_) out.push_back({e.key, e.expiry, e.slot});
+    return out;
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t key;
+    SimTime expiry;
+    std::uint32_t slot;
+  };
+  void erase(std::uint64_t key) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) return;
+    lru_.erase(it->second);
+    index_.erase(it);
+  }
+  std::list<Entry> lru_;
+  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+};
+
+/// Misses go nowhere: the differential test fills the directory itself by
+/// invoking the backend pool's completion listener.
+class DiscardSink final : public RequestSink {
+ public:
+  void on_request(const Request&) override {}
+};
+
+// A tier whose fills the test drives: misses are discarded, and fill()
+// invokes the backend pool's completion listener (the tier's fill hook)
+// directly at the current clock.
+struct DirectedTier {
+  Simulation sim;
+  Datacenter backend_dc;
+  ApplicationProvisioner backend;
+  Datacenter cache_dc;
+  ApplicationProvisioner cache_pool;
+  DiscardSink misses;
+  CacheTier tier;
+
+  DirectedTier(const ApptierConfig& config, std::size_t cache_vms)
+      : backend_dc(sim, TierFixture::small_dc(),
+                   std::make_unique<LeastLoadedPlacement>()),
+        backend(sim, backend_dc, TierFixture::loose_qos(),
+                TierFixture::pool_config(0.1),
+                std::make_unique<KBoundAdmission>()),
+        cache_dc(sim, TierFixture::small_dc(),
+                 std::make_unique<LeastLoadedPlacement>()),
+        cache_pool(sim, cache_dc, TierFixture::loose_qos(),
+                   TierFixture::pool_config(0.011),
+                   std::make_unique<KBoundAdmission>()),
+        tier(sim, config, TierFixture::loose_qos(), cache_pool, backend, misses,
+             Rng(99), nullptr) {
+    cache_pool.scale_to(cache_vms);
+  }
+
+  void advance_to(SimTime t) {
+    sim.schedule_at(t, [] {});
+    sim.run(t);
+  }
+
+  Request request(std::uint64_t id, std::uint64_t key) const {
+    Request r;
+    r.id = id;
+    r.arrival_time = sim.now();
+    r.service_demand = 0.1;
+    r.key = key;
+    return r;
+  }
+
+  void fill(std::uint64_t id, std::uint64_t key) {
+    backend.completion_listener()(request(id, key), 0.05);
+  }
+};
+
+std::string directory_text(
+    const std::vector<ApptierState::DirectoryEntry>& directory) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  for (const auto& e : directory) {
+    out << e.key << '@' << e.expiry << '/' << e.slot << ' ';
+  }
+  return out.str();
+}
+
+// Seeded random sequences of lookups, fills (repeated keys included), clock
+// advances past TTLs and scheduled flushes, cache-pool resizes (slot remaps,
+// capacity shrinks and growths that rehash the table) and mid-sequence
+// capture/restore into a fresh tier: every lookup outcome, every eviction
+// count and every captured directory order must match the reference.
+TEST(CacheTierDirectory, MatchesListAndHashMapReference) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    std::mt19937_64 gen(seed);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    // A small key pool (so keys repeat and collide in the table) with key 0
+    // and a few full-width 64-bit keys.
+    std::vector<std::uint64_t> keys = {0};
+    for (std::uint64_t k = 1; k <= 40; ++k) keys.push_back(k);
+    for (int i = 0; i < 8; ++i) keys.push_back(gen() | (1ull << 63));
+
+    ApptierConfig config = TierFixture::make_apptier();
+    config.cache_capacity_per_vm = 6;
+    config.ttl = 4.0;
+    config.flush_at = {150.0 + 100.0 * unit(gen), 600.0 + 100.0 * unit(gen)};
+
+    auto world = std::make_unique<DirectedTier>(config, 2);
+    world->tier.start();
+    ReferenceDirectory reference;
+    std::string tier_outcomes;
+    std::string reference_outcomes;
+    std::uint64_t evictions = 0;
+    std::size_t flushes_seen = 0;
+    std::size_t restores = 0;
+    std::uint64_t id = 0;
+
+    for (int op = 0; op < 20000; ++op) {
+      const double pick = unit(gen);
+      const std::uint64_t key = keys[gen() % keys.size()];
+      const std::size_t active = world->cache_pool.active_instances();
+      const SimTime now = world->sim.now();
+      if (pick < 0.45) {
+        const CacheTier& t = world->tier;
+        const std::uint64_t hits = t.hits();
+        const std::uint64_t expired = t.expirations();
+        const std::uint64_t invalidated = t.invalidations();
+        world->tier.on_request(world->request(++id, key));
+        const ReferenceDirectory::Outcome expected =
+            reference.lookup(key, now, active);
+        reference_outcomes += static_cast<char>(
+            expected == ReferenceDirectory::kKeyless
+                ? ReferenceDirectory::kMiss
+                : expected);
+        tier_outcomes += t.hits() > hits               ? 'h'
+                         : t.expirations() > expired     ? 'x'
+                         : t.invalidations() > invalidated ? 'i'
+                                                           : 'm';
+      } else if (pick < 0.80) {
+        world->fill(++id, key);
+        evictions += reference.fill(key, now + config.ttl, active,
+                                    config.cache_capacity_per_vm * active);
+      } else if (pick < 0.93) {
+        const SimTime next = now + 2.5 * unit(gen);
+        world->advance_to(next);
+        for (const SimTime at : config.flush_at) {
+          if (at > now && at <= next) {
+            reference.flush();
+            ++flushes_seen;
+          }
+        }
+      } else if (pick < 0.98) {
+        // 0..3 cache VMs, 0 rarely: capacity shrinks, grows and vanishes.
+        const std::size_t vms = gen() % 16 == 0 ? 0 : 1 + gen() % 3;
+        world->cache_pool.scale_to(vms);
+      } else {
+        ApptierState state;
+        world->tier.capture(state);
+        ASSERT_EQ(directory_text(state.directory),
+                  directory_text(reference.capture()))
+            << "seed " << seed << " op " << op;
+        auto resumed = std::make_unique<DirectedTier>(config, active);
+        resumed->advance_to(now);
+        resumed->tier.restore(state);
+        world = std::move(resumed);
+        ++restores;
+      }
+      ASSERT_EQ(tier_outcomes, reference_outcomes)
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(world->tier.evictions(), evictions)
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(world->tier.directory_size(), reference.size())
+          << "seed " << seed << " op " << op;
+    }
+    ApptierState state;
+    world->tier.capture(state);
+    EXPECT_EQ(directory_text(state.directory),
+              directory_text(reference.capture()));
+    EXPECT_EQ(world->tier.flushes(), flushes_seen);
+
+    // The sequence really exercised every path.
+    EXPECT_EQ(flushes_seen, 2u);
+    EXPECT_GT(restores, 100u);
+    EXPECT_GT(evictions, 100u);
+    for (const char outcome : {'h', 'm', 'x', 'i'}) {
+      EXPECT_GT(std::count(tier_outcomes.begin(), tier_outcomes.end(), outcome),
+                50)
+          << "outcome " << outcome << " seed " << seed;
+    }
+  }
+}
+
+// A restored directory must name each key once: a corrupt state with a
+// repeated key is rejected instead of leaving a second, unreachable entry.
+TEST(CacheTierDirectory, RestoreRejectsDuplicateKeys) {
+  ApptierState state;
+  state.directory = {{7, 10.0, 0}, {8, 10.0, 0}, {7, 12.0, 0}};
+  DirectedTier world(TierFixture::make_apptier(), 1);
+  EXPECT_THROW(world.tier.restore(state), std::invalid_argument);
 }
 
 // --- tiered end-to-end runs ------------------------------------------------

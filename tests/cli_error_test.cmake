@@ -1,5 +1,8 @@
 # Runs one run_scenario command line that must be rejected: exit code 2 and
-# an "error: ..." line on stderr matching EXPECT, never an abort.
+# an "error: ..." line on stderr matching EXPECT, never an abort. The message
+# is for users: it must not carry a source location of the build (such as
+# ".../src/util/cli.cc:45:"); the pattern names a source file with a line so
+# that a checkout path containing "/src/" in a --restore argument still passes.
 #
 #   cmake -DEXE=<run_scenario> "-DARGS=<args>" "-DEXPECT=<regex>" \
 #         -P cli_error_test.cmake
@@ -11,4 +14,7 @@ if(NOT code EQUAL 2)
 endif()
 if(NOT stderr MATCHES "error: [^\n]*${EXPECT}")
   message(FATAL_ERROR "stderr lacks 'error: ...${EXPECT}':\n${stderr}")
+endif()
+if(stderr MATCHES "/src/[^ \n]*\\.(cc|h):[0-9]+")
+  message(FATAL_ERROR "stderr names a source path:\n${stderr}")
 endif()

@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "experiment/runner.h"
 #include "experiment/scenario.h"
+#include "experiment/world.h"
+#include "lookahead/checkpoint.h"
 #include "profile/wall_profiler.h"
 #include "telemetry/export.h"
 
@@ -263,6 +266,160 @@ TEST(KernelGolden, FaultAblationSmokeIsBitIdentical) {
   g.drift_windows=0; g.drift_response_mape=0x0p+0; g.drift_response_bias=0x0p+0; g.spans_traced=0;
   g.simulated_events=1387838;
   expect_bit_identical(out.metrics, g);
+}
+
+// Tiered Zipf smoke: 3 h of the Zipf key-value scenario behind the cache
+// tier, with a cache-VM crash at 1:30 (slot invalidations and refills) and
+// a TTL-storm flush at 2:00, seed 42, every request traced. Pins the whole
+// serve path of the tier — Zipf rank sampling, the LRU/TTL directory and
+// the cache/backend pools — through every RunMetrics field, the span CSV,
+// and the checkpoint bytes of a mid-run world (the directory in MRU order).
+ScenarioConfig tiered_zipf_config() {
+  ScenarioConfig config = zipf_scenario(0.02);
+  config.horizon = 3.0 * 3600.0;
+  config.zipf.horizon = config.horizon;
+  config.apptier.enabled = true;
+  config.apptier.cache_crash_at = {5400.0};
+  config.apptier.flush_at = {7200.0};
+  return config;
+}
+
+/// One "name value" line per RunMetrics field except wall_seconds (host
+/// time): integers in decimal, doubles as hexfloats, so equality is exact.
+std::string metric_lines(const RunMetrics& m) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  for_each_field(
+      [&out](const char* name, const auto& value) {
+        if (std::string(name) == "wall_seconds") return;
+        out << name << ' ' << value << '\n';
+      },
+      m);
+  return out.str();
+}
+
+// Every RunMetrics field of the tiered Zipf smoke as metric_lines() prints
+// it, captured from the std::list + std::unordered_map directory and the
+// full-CDF binary-search sampler.
+constexpr const char* kTieredZipfGolden = R"(policy Adaptive
+seed 42
+generated 214854
+accepted 213324
+rejected 1530
+completed 213323
+qos_violations 0
+avg_response_time 0x1.d1f7eee82885ep-5
+std_response_time 0x1.bfb66740853b2p-5
+p95_response_time 0x1.35d289be36b7bp-3
+p99_response_time 0x1.85cba1968e357p-3
+min_instances 0x1p+1
+max_instances 0x1.8p+1
+avg_instances 0x1.00b60b60b60b6p+1
+vm_hours 0x1.8111111111111p+2
+busy_vm_hours 0x1.5b742a7456511p+1
+utilization 0x1.cdfd0784b402dp-2
+rejection_rate 0x1.d2b07b31389dp-8
+instance_failures 0
+vm_crashes 0
+host_crashes 0
+boot_failures 0
+boot_timeouts 0
+lost_requests 0
+lost_to_vm_crashes 0
+lost_to_host_crashes 0
+availability 0x1p+0
+recoveries 0
+mttr_mean 0x0p+0
+mttr_max 0x0p+0
+reconciler_heals 0
+reconciler_retries 0
+reconciler_aborts 0
+final_instances 2
+slo_response_alerts 0
+slo_rejection_alerts 0
+slo_worst_burn_rate 0x0p+0
+drift_windows 0
+drift_response_mape 0x0p+0
+drift_response_bias 0x0p+0
+spans_traced 214854
+billed_cost 0x0p+0
+on_demand_cost 0x0p+0
+spot_cost 0x0p+0
+reserved_cost 0x0p+0
+on_demand_purchases 0
+spot_purchases 0
+reserved_purchases 0
+spot_revocations 0
+revocation_kills 0
+lost_to_revocations 0
+spot_price_mean 0x0p+0
+spot_price_max 0x0p+0
+client_requests 0
+client_succeeded 0
+client_failed 0
+client_attempts 0
+client_retries 0
+retry_budget_denied 0
+client_timeouts 0
+wasted_completions 0
+breaker_opens 0
+breaker_half_opens 0
+breaker_closes 0
+breaker_fast_fails 0
+shed_deadline 0
+shed_brownout 0
+capacity_clips 0
+capacity_denied 0
+cache_hits 120239
+cache_misses 94615
+cache_hit_ratio 0x1.1e87fac1e3022p-1
+cache_fills 93085
+cache_evictions 48780
+cache_expirations 35817
+cache_invalidations 240
+cache_flushes 1
+cache_vm_hours 0x1.2p+2
+cache_utilization 0x1.3f3376f807e5dp-4
+cache_avg_instances 0x1.8p+0
+cache_final_instances 1
+lambda_miss_mean 0x1.2872bf2abc18bp+3
+cache_avg_response_time 0x1.642559d31e8f4p-7
+backend_avg_response_time 0x1.dc6d0e496897cp-4
+simulated_events 428359
+)";
+
+TEST(KernelGolden, TieredZipfSmokeIsBitIdentical) {
+  const ScenarioConfig config = tiered_zipf_config();
+  TelemetryOptions telemetry;
+  telemetry.span_sample_rate = 1.0;
+  const RunOutput out =
+      run_scenario(config, PolicySpec::adaptive(), 42, telemetry);
+  ASSERT_EQ(out.metrics.cache_flushes, 1u);
+  ASSERT_GT(out.metrics.cache_invalidations, 0u);
+  EXPECT_EQ(metric_lines(out.metrics), kTieredZipfGolden);
+
+  ASSERT_NE(out.telemetry, nullptr);
+  std::ostringstream csv;
+  write_span_csv(csv, *out.telemetry->spans());
+  const std::string span_bytes = csv.str();
+  EXPECT_EQ(span_bytes.size(), 12642040u);
+  EXPECT_EQ(fnv1a(span_bytes), 0x0131775aa7dac085ULL);
+}
+
+TEST(KernelGolden, TieredZipfMidRunCheckpointBytes) {
+#if !__has_builtin(__builtin_clear_padding)
+  GTEST_SKIP() << "the codec zeroes padding with __builtin_clear_padding, "
+                  "which this compiler lacks";
+#endif
+  const ScenarioConfig config = tiered_zipf_config();
+  World world(config, PolicySpec::adaptive(), 42, std::nullopt);
+  world.start();
+  world.run_to(8100.5);  // after the crash and the storm, mid-refill
+  std::ostringstream bytes(std::ios::out | std::ios::binary);
+  write_checkpoint(bytes, world.snapshot());
+  const std::string ckpt = bytes.str();
+  EXPECT_EQ(ckpt.size(), 183079u);
+  EXPECT_EQ(fnv1a(ckpt), 0x212eed5de31d420bULL);
 }
 
 }  // namespace

@@ -8,6 +8,12 @@
 // requests must perform ZERO heap allocations: the kernel's typed inline
 // delegates, the slab free list, and the ring buffers make the per-request
 // cycle allocation-free.
+//
+// The tiered serve path gets the same audit: Zipf arrivals -> broker ->
+// CacheTier directory lookup -> cache pool (hit) or backend pool (miss) ->
+// fill on backend completion, with the directory held at capacity so every
+// fill also evicts. The flat directory reuses its node and table storage,
+// so a steady window allocates nothing there either.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,9 +21,11 @@
 #include <memory>
 #include <new>
 
+#include "apptier/cache_tier.h"
 #include "cloud/broker.h"
 #include "core/application_provisioner.h"
 #include "workload/poisson_source.h"
+#include "workload/zipf_workload.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -102,6 +110,67 @@ TEST(ServePathAllocation, SteadyStateServesWithZeroHeapAllocations) {
   // through the typed inline-delegate path only (no boxed closures at all:
   // arrivals, completions, and boots are method binds).
   EXPECT_EQ(sim.queue().boxed_pushed_count(), 0u);
+}
+
+TEST(ServePathAllocation, TieredZipfSteadyStateServesWithZeroHeapAllocations) {
+  Simulation sim;
+  QosTargets qos;
+  qos.max_response_time = 0.250;
+  DatacenterConfig dc_config;
+  dc_config.host_count = 4;
+
+  ProvisionerConfig backend_config;
+  backend_config.initial_service_time_estimate = 0.105;
+  Datacenter backend_dc(sim, dc_config,
+                        std::make_unique<LeastLoadedPlacement>());
+  ApplicationProvisioner backend(sim, backend_dc, qos, backend_config);
+  backend.scale_to(24);
+
+  ApptierConfig apptier;
+  apptier.enabled = true;
+  apptier.cache_capacity_per_vm = 1024;  // 3 VMs: 3072 of 20000 keys
+  ProvisionerConfig cache_config;
+  cache_config.initial_service_time_estimate =
+      apptier.initial_cache_service_estimate;
+  Datacenter cache_dc(sim, dc_config, std::make_unique<LeastLoadedPlacement>());
+  ApplicationProvisioner cache_pool(sim, cache_dc, qos, cache_config);
+  cache_pool.scale_to(3);
+
+  CacheTier tier(sim, apptier, qos, cache_pool, backend, backend, Rng(11),
+                 nullptr);
+  tier.start();
+  ZipfWorkloadConfig zipf;
+  zipf.scale = 0.3;  // 300 requests/s
+  zipf.horizon = 400.0;
+  ZipfWorkload workload(zipf);
+  Broker broker(sim, workload, tier, Rng(7));
+  broker.start();
+
+  // Warmup: the directory fills to capacity (every later fill evicts) and
+  // the event slab, heap and VM waiting rings reach their steady sizes.
+  sim.run(200.0);
+  ASSERT_EQ(tier.directory_size(), tier.directory_capacity());
+  ASSERT_GT(tier.evictions(), 0u);
+  const std::uint64_t generated_before = broker.generated();
+  const std::uint64_t hits_before = tier.hits();
+  const std::uint64_t fills_before = tier.fills();
+  const std::uint64_t evictions_before = tier.evictions();
+
+  // One analysis window (60 s) of steady serving.
+  const std::uint64_t allocations_before =
+      g_allocations.load(std::memory_order_relaxed);
+  sim.run(260.0);
+  const std::uint64_t allocations_during =
+      g_allocations.load(std::memory_order_relaxed) - allocations_before;
+
+  // The window served hits and misses, filled and evicted...
+  EXPECT_GT(broker.generated() - generated_before, 10000u);
+  EXPECT_GT(tier.hits() - hits_before, 3000u);
+  EXPECT_GT(tier.fills() - fills_before, 3000u);
+  EXPECT_GT(tier.evictions() - evictions_before, 1000u);
+  EXPECT_EQ(tier.directory_size(), tier.directory_capacity());
+  // ...without a single heap allocation.
+  EXPECT_EQ(allocations_during, 0u);
 }
 
 }  // namespace
