@@ -70,6 +70,10 @@ struct Fixture {
   ScenarioConfig (*config)();
 };
 
+// Print the fixture by name, not as raw bytes holding ASLR-dependent
+// pointers, so the discovered test name is the same on every build.
+void PrintTo(const Fixture& f, std::ostream* os) { *os << f.name; }
+
 class CheckpointFixture : public ::testing::TestWithParam<Fixture> {};
 
 TEST_P(CheckpointFixture, DecodesAndResumesToTheFreshRun) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <ostream>
 #include <vector>
 
 #include "stats/confidence.h"
@@ -100,6 +101,10 @@ struct P2Case {
   std::function<double(Rng&)> sample;
   std::function<double()> truth;
 };
+
+// gtest would dump the case's raw bytes, `name` pointer included, into the
+// discovered test name; under ASLR that name changed on every build.
+void PrintTo(const P2Case& c, std::ostream* os) { *os << c.name; }
 
 class P2QuantileTest : public ::testing::TestWithParam<P2Case> {};
 
