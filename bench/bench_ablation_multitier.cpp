@@ -14,9 +14,13 @@
 //
 // Four sections:
 //
-//   sizing      single-tier vs tiered on identically-seeded workloads at
-//               several scales: equal-or-better SLO with fewer backend
-//               VM-hours is the headline claim.
+//   sizing      single-tier vs tiered on identically-seeded workloads:
+//               equal-or-better SLO with fewer backend VM-hours is the
+//               headline claim. A third row, static tiers, fixes both pools
+//               at their peak (backend at the single-tier peak, the load it
+//               carries whenever the cache is cold; cache at the adaptive
+//               cache pool), the comparison of per-tier Algorithm 1 against
+//               peak-sized static per-tier pools.
 //   curve       per-tier latency vs throughput: each tier's measured mean
 //               response against its own offered load as lambda grows.
 //   warmup      a seeded cache-VM crash mid-run: the modulo slot remap
@@ -28,8 +32,11 @@
 // --smoke (CI): short horizon; asserts (1) a run with apptier fields
 // touched but enabled=false is bit-identical to the untouched baseline,
 // (2) the tiered backend spends fewer VM-hours than the single-tier pool at
-// equal QoS, (3) the crash transient invalidates and recovers, (4) the TTL
-// storm flushes and recovers. Exits non-zero on violation.
+// equal QoS, (3) adaptive tiers spend fewer total (backend + cache)
+// VM-hours than static tiers with no more QoS violations, (4) the crash
+// transient invalidates and recovers, (5) the TTL storm flushes and
+// recovers. Exits non-zero on violation.
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -65,14 +72,18 @@ ScenarioConfig tiered_config(double scale, double ttl = 300.0) {
   return config;
 }
 
-/// Mean window hit ratio over series samples with begin <= t < end.
-double mean_hit_ratio(const std::vector<ApptierState::WindowSample>& series,
-                      SimTime begin, SimTime end) {
+using WindowSample = ApptierState::WindowSample;
+
+/// Mean of one window-sample field (the hit ratio unless named) over
+/// samples with begin <= t < end.
+double window_mean(const std::vector<WindowSample>& series, SimTime begin,
+                   SimTime end,
+                   double WindowSample::*field = &WindowSample::hit_ratio) {
   double sum = 0.0;
   std::size_t n = 0;
   for (const auto& sample : series) {
     if (sample.t < begin || sample.t >= end) continue;
-    sum += sample.hit_ratio;
+    sum += sample.*field;
     ++n;
   }
   return n > 0 ? sum / static_cast<double>(n) : -1.0;
@@ -90,8 +101,9 @@ int main(int argc, char** argv) {
   args.add_flag("seed", "42", "base random seed", "<int>");
   args.add_flag("smoke", "false",
                 "CI smoke mode: short horizon, assert tiers-off bit-identity, "
-                "backend VM-hour savings at equal QoS, and both transients; "
-                "exit non-zero on violation");
+                "backend VM-hour savings at equal QoS, total VM-hour savings "
+                "against static tiers, and both transients; exit non-zero on "
+                "violation");
   if (!args.parse(argc, argv)) return 0;
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
   const bool smoke = args.get_bool("smoke");
@@ -129,33 +141,56 @@ int main(int argc, char** argv) {
 
   // --- Section 1: equal-QoS sizing, single-tier vs tiered -----------------
   std::cout << "--- sizing: single-tier (total lambda) vs tiered "
-               "(lambda_miss) ---\n";
+               "(lambda_miss) vs static tiers ---\n";
   TextTable sizing({"config", "hit_ratio", "backend_vmh", "cache_vmh",
                     "avg_resp", "p99_resp", "rejection", "violations",
                     "lambda_miss"});
-  std::vector<RunMetrics> sized;
-  for (const bool tiers : {false, true}) {
-    ScenarioConfig config = tiers ? tiered_config(scale) : zipf_scenario(scale);
+  const auto sizing_run = [&](const std::string& label, ScenarioConfig config,
+                             const PolicySpec& policy) {
     config.horizon = config.zipf.horizon = horizon;
-    RunOutput output = run_scenario(config, adaptive, seed);
-    const RunMetrics& m = output.metrics;
-    sizing.add_row({tiers ? "tiered" : "single-tier",
-                    fmt(m.cache_hit_ratio, 3), fmt(m.vm_hours, 1),
+    const RunMetrics m = run_scenario(config, policy, seed).metrics;
+    sizing.add_row({label, fmt(m.cache_hit_ratio, 3), fmt(m.vm_hours, 1),
                     fmt(m.cache_vm_hours, 1), fmt(m.avg_response_time, 4),
                     fmt(m.p99_response_time, 4), fmt(m.rejection_rate, 4),
                     std::to_string(m.qos_violations),
                     fmt(m.lambda_miss_mean, 2)});
-    sized.push_back(m);
-  }
+    return m;
+  };
+  const RunMetrics single =
+      sizing_run("single-tier", zipf_scenario(scale), adaptive);
+  const RunMetrics tiered =
+      sizing_run("tiered", tiered_config(scale), adaptive);
+  // Static tiers: pool sizes fixed for the whole run. The backend holds the
+  // single-tier peak (a cold cache at start, after a crash or a TTL storm
+  // sends it the full lambda); the cache holds the adaptive cache pool.
+  ScenarioConfig static_config = tiered_config(scale);
+  const auto backend_vms =
+      static_cast<std::size_t>(std::ceil(single.max_instances));
+  static_config.apptier.cache_vms =
+      static_cast<std::size_t>(std::ceil(tiered.cache_avg_instances));
+  const RunMetrics fixed = sizing_run(
+      "static-tiers " + std::to_string(backend_vms) + "+" +
+          std::to_string(static_config.apptier.cache_vms),
+      static_config,
+      PolicySpec::fixed(static_cast<std::size_t>(
+          std::round(static_cast<double>(backend_vms) / scale))));
   sizing.print(std::cout);
   const ScenarioConfig reference = zipf_scenario(scale);
-  const RunMetrics& single = sized.front();
-  const RunMetrics& tiered = sized.back();
+  const double tiered_total = tiered.vm_hours + tiered.cache_vm_hours;
+  const double fixed_total = fixed.vm_hours + fixed.cache_vm_hours;
   std::cout << "\nReading: the cache absorbs the Zipf hot head, so the tiered\n"
                "backend plans for lambda_miss = lambda * (1 - h) and spends\n"
             << fmt(single.vm_hours - tiered.vm_hours, 1)
             << " fewer backend VM-hours while the end-to-end response mixes\n"
-               "fast hits with full-demand misses.\n\n";
+               "fast hits with full-demand misses.\n"
+               "Against static tiers, adaptive tiers spend "
+            << fmt(tiered_total, 1) << " vs " << fmt(fixed_total, 1)
+            << " backend + cache\nVM-hours with " << tiered.qos_violations
+            << " vs " << fixed.qos_violations << " QoS violations, but reject "
+            << fmt(tiered.rejection_rate, 4) << " vs "
+            << fmt(fixed.rejection_rate, 4)
+            << " of requests:\nthe static backend's peak headroom buys the "
+               "lower rejection rate.\n\n";
   if (smoke) {
     check(tiered.vm_hours < single.vm_hours,
           "tiered backend must spend fewer VM-hours than single-tier");
@@ -168,6 +203,10 @@ int main(int argc, char** argv) {
           "tiered rejection must stay comparable to single-tier");
     check(tiered.cache_hit_ratio > 0.3,
           "Zipf hot head should produce a substantial hit ratio");
+    check(tiered_total < fixed_total,
+          "adaptive tiers must spend fewer total VM-hours than static tiers");
+    check(tiered.qos_violations <= fixed.qos_violations,
+          "adaptive tiers must have no more QoS violations than static tiers");
   }
 
   // --- Section 2: per-tier latency vs throughput --------------------------
@@ -175,28 +214,35 @@ int main(int argc, char** argv) {
                "---\n";
   TextTable curve({"scale", "lambda", "hit_ratio", "lambda_cache",
                    "lambda_miss", "cache_resp", "backend_resp", "e2e_resp",
-                   "cache_vms", "backend_vms"});
+                   "tandem_e2e", "cache_vms", "backend_vms"});
   const std::vector<double> sweep_scales =
       smoke ? std::vector<double>{0.01, 0.02}
             : std::vector<double>{0.005, 0.01, 0.02, 0.04, 0.08};
   for (const double s : sweep_scales) {
     ScenarioConfig config = tiered_config(s);
     config.horizon = config.zipf.horizon = horizon;
-    const RunMetrics m = run_scenario(config, adaptive, seed).metrics;
+    const RunOutput output = run_scenario(config, adaptive, seed);
+    const RunMetrics& m = output.metrics;
     const double lambda = s * config.zipf.base_rate;
+    const double tandem_e2e =
+        window_mean(output.apptier_series, 0.0, horizon,
+                    &WindowSample::predicted_response);
     curve.add_row({fmt(s, 3), fmt(lambda, 1), fmt(m.cache_hit_ratio, 3),
                    fmt(lambda * m.cache_hit_ratio, 1),
                    fmt(m.lambda_miss_mean, 1),
                    fmt(m.cache_avg_response_time, 4),
                    fmt(m.backend_avg_response_time, 4),
-                   fmt(m.avg_response_time, 4), fmt(m.cache_avg_instances, 1),
-                   fmt(m.avg_instances, 1)});
+                   fmt(m.avg_response_time, 4), fmt(tandem_e2e, 4),
+                   fmt(m.cache_avg_instances, 1), fmt(m.avg_instances, 1)});
   }
   curve.print(std::cout);
   std::cout << "\nReading: each tier rides its own latency-throughput curve —\n"
                "cache hits stay an order of magnitude faster than backend\n"
                "misses at every load, and both pools grow with their OWN\n"
-               "offered flow (lambda*h vs lambda*(1-h)), not the total.\n\n";
+               "offered flow (lambda*h vs lambda*(1-h)), not the total.\n"
+               "tandem_e2e is the tiered provisioner's queueing::solve_tandem\n"
+               "prediction of the end-to-end response (mean over planning\n"
+               "windows), next to the simulated e2e_resp.\n\n";
 
   // --- Section 3: cache-warmup transient after a seeded cache-VM crash ----
   std::cout << "--- warmup transient: cache-VM crash at t=" << horizon / 2.0
@@ -208,11 +254,11 @@ int main(int argc, char** argv) {
   RunOutput crash_run = run_scenario(crash_config, adaptive, seed);
   const RunMetrics& cm = crash_run.metrics;
   const double before_crash =
-      mean_hit_ratio(crash_run.apptier_series, 0.25 * horizon, crash_at);
-  const double after_crash = mean_hit_ratio(
+      window_mean(crash_run.apptier_series, 0.25 * horizon, crash_at);
+  const double after_crash = window_mean(
       crash_run.apptier_series, crash_at, crash_at + 0.1 * horizon);
   const double recovered =
-      mean_hit_ratio(crash_run.apptier_series, 0.9 * horizon, horizon);
+      window_mean(crash_run.apptier_series, 0.9 * horizon, horizon);
   std::cout << "invalidations " << cm.cache_invalidations
             << "; window hit ratio " << fmt(before_crash, 3)
             << " before -> " << fmt(after_crash, 3) << " after crash -> "
@@ -234,11 +280,11 @@ int main(int argc, char** argv) {
   RunOutput storm_run = run_scenario(storm_config, adaptive, seed);
   const RunMetrics& sm = storm_run.metrics;
   const double before_storm =
-      mean_hit_ratio(storm_run.apptier_series, 0.25 * horizon, flush_at);
-  const double after_storm = mean_hit_ratio(
+      window_mean(storm_run.apptier_series, 0.25 * horizon, flush_at);
+  const double after_storm = window_mean(
       storm_run.apptier_series, flush_at, flush_at + 0.05 * horizon);
   const double storm_recovered =
-      mean_hit_ratio(storm_run.apptier_series, 0.9 * horizon, horizon);
+      window_mean(storm_run.apptier_series, 0.9 * horizon, horizon);
   std::cout << "flushes " << sm.cache_flushes << "; window hit ratio "
             << fmt(before_storm, 3) << " before -> " << fmt(after_storm, 3)
             << " right after the flush -> " << fmt(storm_recovered, 3)

@@ -84,8 +84,8 @@ class ApplicationProvisioner final : public Entity,
   void on_request(const Request& request) override;
 
   /// Same as on_request but reports the admission outcome — used by
-  /// composite-service chaining (core/multitier.h) to account for mid-chain
-  /// drops.
+  /// callers that account for rejections themselves (the resilience retry
+  /// gateway, SLA accounting).
   bool try_submit(const Request& request);
 
   /// Invoked after a request completes service (in addition to internal

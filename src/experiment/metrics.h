@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <optional>
 #include <string>
@@ -16,6 +17,42 @@
 #include "stats/confidence.h"
 
 namespace cloudprov {
+
+/// Monotone progress counters of a running world (World::counters()) and
+/// their per-window fleet deltas (FleetWindowSample). `+=` and `-=` work
+/// field by field; unsigned wrap-around keeps `later - earlier` exact.
+struct RunCounters {
+  std::uint64_t generated = 0;
+  std::uint64_t accepted = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t qos_violations = 0;
+  std::uint64_t cache_hits = 0;    ///< tiered (Zipf) worlds only
+  std::uint64_t cache_misses = 0;  ///< tiered (Zipf) worlds only
+
+  RunCounters& operator+=(const RunCounters& other) {
+    return combine(other, std::plus<>{});
+  }
+  RunCounters& operator-=(const RunCounters& other) {
+    return combine(other, std::minus<>{});
+  }
+  friend RunCounters operator-(RunCounters a, const RunCounters& b) {
+    return a -= b;
+  }
+
+ private:
+  template <typename Op>
+  RunCounters& combine(const RunCounters& other, Op op) {
+    generated = op(generated, other.generated);
+    accepted = op(accepted, other.accepted);
+    rejected = op(rejected, other.rejected);
+    completed = op(completed, other.completed);
+    qos_violations = op(qos_violations, other.qos_violations);
+    cache_hits = op(cache_hits, other.cache_hits);
+    cache_misses = op(cache_misses, other.cache_misses);
+    return *this;
+  }
+};
 
 struct RunMetrics {
   std::string policy;

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "experiment/world.h"
@@ -207,7 +209,7 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
   // the serial commit touches the shared window series, so thousands of
   // tenants add zero lock contention on any registry. `last_counters[i]` is
   // only ever touched by tenant i's home-shard worker.
-  std::vector<World::Counters> last_counters(tenant_count);
+  std::vector<RunCounters> last_counters(tenant_count);
   std::vector<FleetWindowSample> window_series;
   const auto advance = [&](std::size_t shard, SimTime t) {
     ProfileScope scope(shards[shard].profiler.get(),
@@ -215,16 +217,9 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
     shards[shard].sim->run(t);
     FleetWindowSample& batch = shards[shard].batch;
     for (std::size_t i = shard; i < tenant_count; i += shard_count) {
-      const World::Counters now = worlds[i]->counters();
-      World::Counters& last = last_counters[i];
-      batch.generated += now.generated - last.generated;
-      batch.accepted += now.accepted - last.accepted;
-      batch.rejected += now.rejected - last.rejected;
-      batch.completed += now.completed - last.completed;
-      batch.qos_violations += now.qos_violations - last.qos_violations;
-      batch.cache_hits += now.cache_hits - last.cache_hits;
-      batch.cache_misses += now.cache_misses - last.cache_misses;
-      last = now;
+      const RunCounters now = worlds[i]->counters();
+      batch += now - last_counters[i];
+      last_counters[i] = now;
     }
   };
   const auto commit = [&](SimTime t) {
@@ -237,13 +232,7 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
     FleetWindowSample row;
     row.t = t;
     for (Shard& shard : shards) {
-      row.generated += shard.batch.generated;
-      row.accepted += shard.batch.accepted;
-      row.rejected += shard.batch.rejected;
-      row.completed += shard.batch.completed;
-      row.qos_violations += shard.batch.qos_violations;
-      row.cache_hits += shard.batch.cache_hits;
-      row.cache_misses += shard.batch.cache_misses;
+      row += shard.batch;
       shard.batch = FleetWindowSample{};
     }
     window_series.push_back(row);
@@ -273,13 +262,7 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
     FleetWindowSample tail;
     tail.t = config.horizon;
     for (Shard& shard : shards) {
-      tail.generated += shard.batch.generated;
-      tail.accepted += shard.batch.accepted;
-      tail.rejected += shard.batch.rejected;
-      tail.completed += shard.batch.completed;
-      tail.qos_violations += shard.batch.qos_violations;
-      tail.cache_hits += shard.batch.cache_hits;
-      tail.cache_misses += shard.batch.cache_misses;
+      tail += shard.batch;
       shard.batch = FleetWindowSample{};
     }
     window_series.push_back(tail);
@@ -319,17 +302,21 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
   // Cross-tenant rollup (see MultiTenantResult for the conventions).
   RunMetrics& agg = result.aggregate;
   agg.policy = "multi-tenant(" + std::to_string(tenant_count) + ")";
-  agg.seed = config.seed;
   double response_sum = 0.0;
   double response_weight = 0.0;
   double availability_sum = 0.0;
   for (const TenantResult& tenant : result.tenants) {
     const RunMetrics& m = tenant.metrics;
-    agg.generated += m.generated;
-    agg.accepted += m.accepted;
-    agg.rejected += m.rejected;
-    agg.completed += m.completed;
-    agg.qos_violations += m.qos_violations;
+    // Every counter is a sum over tenants (seed and simulated_events are
+    // overwritten below); the doubles follow the rules spelled out here.
+    for_each_field(
+        [](std::string_view, auto& total, const auto& value) {
+          if constexpr (std::is_same_v<std::decay_t<decltype(total)>,
+                                       std::uint64_t>) {
+            total += value;
+          }
+        },
+        agg, m);
     response_sum += m.avg_response_time * static_cast<double>(m.completed);
     response_weight += static_cast<double>(m.completed);
     agg.min_instances += m.min_instances;
@@ -337,28 +324,14 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
     agg.avg_instances += m.avg_instances;
     agg.vm_hours += m.vm_hours;
     agg.busy_vm_hours += m.busy_vm_hours;
-    agg.instance_failures += m.instance_failures;
-    agg.lost_requests += m.lost_requests;
     availability_sum += m.availability;
-    agg.final_instances += m.final_instances;
-    agg.capacity_clips += m.capacity_clips;
-    agg.capacity_denied += m.capacity_denied;
     agg.billed_cost += m.billed_cost;
     agg.on_demand_cost += m.on_demand_cost;
     agg.spot_cost += m.spot_cost;
     agg.reserved_cost += m.reserved_cost;
-    agg.on_demand_purchases += m.on_demand_purchases;
-    agg.spot_purchases += m.spot_purchases;
-    agg.reserved_purchases += m.reserved_purchases;
-    agg.spot_revocations += m.spot_revocations;
-    agg.revocation_kills += m.revocation_kills;
-    agg.lost_to_revocations += m.lost_to_revocations;
-    agg.spans_traced += m.spans_traced;
-    agg.cache_hits += m.cache_hits;
-    agg.cache_misses += m.cache_misses;
-    agg.cache_fills += m.cache_fills;
     agg.cache_vm_hours += m.cache_vm_hours;
   }
+  agg.seed = config.seed;
   if (agg.cache_hits + agg.cache_misses > 0) {
     agg.cache_hit_ratio =
         static_cast<double>(agg.cache_hits) /

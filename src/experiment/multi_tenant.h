@@ -149,15 +149,8 @@ struct TenantResult {
 /// each worker after its window advance and drained into the series inside
 /// the serial barrier commit — tenants never serialize on a shared registry
 /// mid-window, so the pattern holds at thousands of tenants.
-struct FleetWindowSample {
+struct FleetWindowSample : RunCounters {
   SimTime t = 0.0;  ///< window-end barrier time
-  std::uint64_t generated = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t qos_violations = 0;
-  std::uint64_t cache_hits = 0;    ///< tiered (Zipf) tenants only
-  std::uint64_t cache_misses = 0;  ///< tiered (Zipf) tenants only
 };
 
 struct MultiTenantResult {
@@ -179,9 +172,14 @@ struct MultiTenantResult {
   std::uint64_t simulated_events = 0;
   double wall_seconds = 0.0;
 
-  /// Cross-tenant rollup: counters/costs/VM-hours are sums, response time
-  /// is the completion-weighted mean, instance stats are sums of per-tenant
-  /// stats (not time-aligned), percentiles are left 0 (not aggregatable).
+  /// Cross-tenant rollup: every integer counter, cost and VM-hour total is
+  /// a sum over tenants (except `seed`, the master seed, and
+  /// `simulated_events`, the fleet's), response time is the
+  /// completion-weighted mean, utilization, rejection rate and hit ratio
+  /// are recomputed from the sums, availability is the tenant mean, spot
+  /// prices are the shared market's, instance stats are sums of per-tenant
+  /// stats (not time-aligned), and percentiles and the other per-run
+  /// doubles are left 0.
   RunMetrics aggregate;
 };
 

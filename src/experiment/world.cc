@@ -362,8 +362,8 @@ void World::apply_capacity_grant(std::size_t grant) {
   provisioner_->set_capacity_cap(grant);
 }
 
-World::Counters World::counters() const {
-  Counters c;
+RunCounters World::counters() const {
+  RunCounters c;
   c.generated = broker_->generated();
   c.accepted = provisioner_->accepted();
   c.rejected = provisioner_->rejected();

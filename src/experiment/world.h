@@ -130,16 +130,7 @@ class World final : public WhatIfEngine {
   /// anything: the shard-local telemetry batches of the multi-tenant
   /// executor read these after every window advance. Tiered worlds fold
   /// both pools in (and report the tier's end-to-end QoS accounting).
-  struct Counters {
-    std::uint64_t generated = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t qos_violations = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
-  };
-  Counters counters() const;
+  RunCounters counters() const;
   /// Live resilience gateway (nullptr when the layer is disabled): lets the
   /// retry-storm ablation sample client goodput at the trigger boundary.
   const RetryGateway* gateway() const {

@@ -7,8 +7,10 @@
 // Figure 2. It uses the standard decomposition approximation: tier i+1's
 // input is treated as Poisson at tier i's accepted throughput. Exact for
 // unbounded exponential tiers (Burke's theorem); an approximation once
-// blocking truncates the flow, validated against simulation in the test
-// suite.
+// blocking truncates the flow. The closed forms are pinned by hand-computed
+// tests; the only comparison against simulation is AB14
+// (bench_ablation_multitier), which prints the tiered provisioner's
+// prediction next to the simulated end-to-end response.
 #pragma once
 
 #include <cstddef>

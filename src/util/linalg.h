@@ -1,8 +1,8 @@
 // Small dense linear algebra.
 //
-// The systems solved in this library are tiny (AR(p) normal equations,
-// Jackson traffic equations: dimensions < 100), so Gaussian elimination with
-// partial pivoting is the right tool — no factorization library needed.
+// The systems solved in this library are tiny (AR(p) and QRSM normal
+// equations: dimensions < 100), so Gaussian elimination with partial
+// pivoting is the right tool — no factorization library needed.
 #pragma once
 
 #include <vector>

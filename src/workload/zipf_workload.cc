@@ -36,19 +36,18 @@ ZipfWorkload::ZipfWorkload(ZipfWorkloadConfig config)
     harmonic += std::pow(static_cast<double>(r), -config_.alpha);
     cdf_[r - 1] = harmonic;
   }
-  // Normalise, with the last entry pinned to 1.0 against rounding, and cut
-  // the guide in the same pass: every cut point j / kGuide at or below
-  // cdf_[i] that no earlier entry reached points at i.
+  // Normalise, with the last entry pinned to 1.0 against rounding.
+  const std::size_t last = cdf_.size() - 1;
+  for (std::size_t i = 0; i < last; ++i) cdf_[i] /= harmonic;
+  cdf_[last] = 1.0;
+  // Cut the guide: every cut point j / kGuide at or below cdf_[i] that no
+  // earlier entry reached points at i. cdf_[last] == 1.0 reaches them all.
   constexpr double kBucket = 1.0 / static_cast<double>(kGuide);  // exact
   guide_.resize(kGuide + 1);
   std::size_t cut = 0;
-  double cut_point = 0.0;  // cut * kBucket
-  const std::size_t last = cdf_.size() - 1;
-  for (std::size_t i = 0; i <= last; ++i) {
-    cdf_[i] = i == last ? 1.0 : cdf_[i] / harmonic;
-    while (cut <= kGuide && cut_point <= cdf_[i]) {
+  for (std::size_t i = 0; i <= last && cut <= kGuide; ++i) {
+    while (cut <= kGuide && static_cast<double>(cut) * kBucket <= cdf_[i]) {
       guide_[cut++] = static_cast<std::uint32_t>(i);
-      cut_point = static_cast<double>(cut) * kBucket;
     }
   }
 }

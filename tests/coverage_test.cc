@@ -1,6 +1,6 @@
 // Coverage for auxiliary behaviors not exercised elsewhere: time helpers,
-// event-queue bookkeeping, three-tier chains, bursty-workload provisioning,
-// and trace-driven determinism.
+// event-queue bookkeeping, bursty-workload provisioning, and trace-driven
+// determinism.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,7 +8,6 @@
 
 #include "cloud/broker.h"
 #include "core/adaptive_policy.h"
-#include "core/multitier.h"
 #include "core/vertical_policy.h"
 #include "predict/ewma.h"
 #include "predict/hybrid.h"
@@ -54,32 +53,6 @@ TEST(EventQueueAux, SizeAndPushedCountAndClear) {
   queue.clear();
   EXPECT_TRUE(queue.empty());
   EXPECT_EQ(queue.pushed_count(), 2u);  // history preserved
-}
-
-TEST(ThreeTierChain, EndToEndAcrossThreeTiers) {
-  Simulation sim;
-  DatacenterConfig dc;
-  dc.host_count = 8;
-  Datacenter datacenter(sim, dc, std::make_unique<LeastLoadedPlacement>());
-  MultiTierConfig config;
-  config.qos.max_response_time = 1.2;
-  for (const char* name : {"web", "app", "db"}) {
-    config.tiers.push_back(TierConfig{
-        name, std::make_shared<DeterministicDistribution>(0.1), 0.1, VmSpec{}});
-  }
-  MultiTierApplication app(sim, datacenter, config, Rng(1));
-  for (std::size_t i = 0; i < 3; ++i) app.tier(i).scale_to(1);
-
-  Request r;
-  r.id = 1;
-  r.service_demand = 0.1;
-  app.on_request(r);
-  sim.run();
-  EXPECT_EQ(app.completed(), 1u);
-  EXPECT_NEAR(app.end_to_end_response().mean(), 0.3, 1e-12);
-  // Equal estimates: the budget splits into thirds.
-  EXPECT_NEAR(app.tier_budget(0), 0.4, 1e-12);
-  EXPECT_NEAR(app.tier_budget(2), 0.4, 1e-12);
 }
 
 TEST(BurstyProvisioning, HybridAbsorbsMmppBursts) {

@@ -8,7 +8,6 @@
 #include "core/performance_modeler.h"
 #include "core/sla.h"
 #include "sim/event_queue.h"
-#include "stats/histogram.h"
 #include "stats/quantile.h"
 #include "stats/timeseries.h"
 #include "util/csv.h"
@@ -18,16 +17,6 @@
 
 namespace cloudprov {
 namespace {
-
-TEST(HistogramEdge, AllSamplesOutOfRange) {
-  Histogram h = Histogram::linear(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(7.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  // No in-range mass: cumulative fraction defined as 0.
-  EXPECT_EQ(h.cumulative_fraction(3), 0.0);
-}
 
 TEST(P2QuantileEdge, ConstantStreamIsExact) {
   P2Quantile q(0.9);

@@ -11,6 +11,8 @@
 #include <cstring>
 #include <optional>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "experiment/multi_tenant.h"
@@ -413,6 +415,49 @@ TEST(MultiTenantGolden, TieredZipfTenantsMatchAcrossShardCounts) {
     SCOPED_TRACE("tenant " + std::to_string(i));
     expect_bit_identical(base.tenants[i].metrics, sharded.tenants[i].metrics);
   }
+}
+
+// The fleet rollup sums every integer counter over tenants, not a chosen
+// subset: cache evictions/expirations of tiered tenants reach the aggregate.
+TEST(MultiTenant, AggregateSumsEveryCounterOverTenants) {
+  MultiTenantConfig config = golden_config();
+  config.tenants = 8;
+  config.zipf_fraction = 0.5;
+  config.zipf_tiers = true;
+  config.horizon = 900.0;
+  MultiTenantOptions options;
+  options.shards = 2;
+  const MultiTenantResult result = run_multi_tenant(config, options);
+
+  RunMetrics sum;
+  for (const TenantResult& tenant : result.tenants) {
+    for_each_field(
+        [](std::string_view, auto& total, const auto& value) {
+          if constexpr (std::is_same_v<std::decay_t<decltype(total)>,
+                                       std::uint64_t>) {
+            total += value;
+          }
+        },
+        sum, tenant.metrics);
+  }
+  // A counter the rollup once skipped must be live in this run.
+  ASSERT_GT(sum.cache_expirations, 0u);
+
+  std::size_t compared = 0;
+  for_each_field(
+      [&compared](std::string_view name, const auto& aggregate,
+                  const auto& expected) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(aggregate)>,
+                                     std::uint64_t>) {
+          if (name == "seed" || name == "simulated_events") return;
+          EXPECT_EQ(aggregate, expected) << name;
+          ++compared;
+        }
+      },
+      result.aggregate, sum);
+  EXPECT_GT(compared, 50u);
+  EXPECT_EQ(result.aggregate.seed, config.seed);
+  EXPECT_EQ(result.aggregate.simulated_events, result.simulated_events);
 }
 
 TEST(MultiTenant, TenantCsvHasOneRowPerTenant) {

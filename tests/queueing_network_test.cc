@@ -1,6 +1,6 @@
 // Tests for the non-exponential and composite-service models (mg1, G/G/c,
-// tandem chains, Jackson networks) — the queueing-side half of the paper's
-// "composite services" future work.
+// tandem chains) — the queueing-side half of the paper's "composite
+// services" future work.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 
 #include "cloud/broker.h"
 #include "core/application_provisioner.h"
-#include "queueing/jackson.h"
 #include "queueing/mg1.h"
 #include "queueing/mm1.h"
 #include "queueing/mm1k.h"
@@ -148,64 +147,6 @@ TEST(Tandem, Validation) {
   EXPECT_THROW(solve_tandem(-1.0, {TandemTier{}}), std::invalid_argument);
 }
 
-// ---------------------------------------------------------------- Jackson
-
-TEST(Jackson, TandemOfUnboundedMm1MatchesClosedForm) {
-  // Two M/M/1 stations in series: lambda flows through both (Burke).
-  JacksonNetwork net;
-  net.nodes = {JacksonNode{1, 10.0}, JacksonNode{1, 8.0}};
-  net.external_arrivals = {4.0, 0.0};
-  net.routing = {{0.0, 1.0}, {0.0, 0.0}};
-  const JacksonMetrics result = solve_jackson(net);
-  EXPECT_NEAR(result.node_arrival_rates[0], 4.0, 1e-12);
-  EXPECT_NEAR(result.node_arrival_rates[1], 4.0, 1e-12);
-  const double expected_sojourn =
-      mm1(4.0, 10.0).mean_response_time + mm1(4.0, 8.0).mean_response_time;
-  EXPECT_NEAR(result.mean_sojourn_time, expected_sojourn, 1e-12);
-}
-
-TEST(Jackson, FeedbackLoopInflatesInternalTraffic) {
-  // One station where 25% of completions retry: lambda_eff = a / (1 - 0.25).
-  JacksonNetwork net;
-  net.nodes = {JacksonNode{1, 10.0}};
-  net.external_arrivals = {3.0};
-  net.routing = {{0.25}};
-  const JacksonMetrics result = solve_jackson(net);
-  EXPECT_NEAR(result.node_arrival_rates[0], 4.0, 1e-12);
-  // Sojourn uses Little on external arrivals: L / a, not L / lambda_eff.
-  EXPECT_NEAR(result.mean_sojourn_time,
-              mm1(4.0, 10.0).mean_in_system / 3.0, 1e-12);
-}
-
-TEST(Jackson, BranchingRoutesSplitTraffic) {
-  // Front end routes 70% to cache, 30% to db; both exit.
-  JacksonNetwork net;
-  net.nodes = {JacksonNode{2, 10.0}, JacksonNode{1, 20.0}, JacksonNode{1, 5.0}};
-  net.external_arrivals = {6.0, 0.0, 0.0};
-  net.routing = {{0.0, 0.7, 0.3}, {0.0, 0.0, 0.0}, {0.0, 0.0, 0.0}};
-  const JacksonMetrics result = solve_jackson(net);
-  EXPECT_NEAR(result.node_arrival_rates[1], 4.2, 1e-12);
-  EXPECT_NEAR(result.node_arrival_rates[2], 1.8, 1e-12);
-}
-
-TEST(Jackson, UnstableNodeThrows) {
-  JacksonNetwork net;
-  net.nodes = {JacksonNode{1, 2.0}};
-  net.external_arrivals = {3.0};
-  net.routing = {{0.0}};
-  EXPECT_THROW(solve_jackson(net), std::invalid_argument);
-}
-
-TEST(Jackson, MalformedRoutingThrows) {
-  JacksonNetwork net;
-  net.nodes = {JacksonNode{1, 10.0}};
-  net.external_arrivals = {1.0};
-  net.routing = {{1.5}};
-  EXPECT_THROW(solve_jackson(net), std::invalid_argument);
-  net.routing = {{0.5, 0.5}};
-  EXPECT_THROW(solve_jackson(net), std::invalid_argument);
-}
-
 // ------------------------------------------------ hand-computed fixtures
 // Every expectation below is worked out by hand from the closed forms, so a
 // solver regression cannot hide behind a cross-check of one model against
@@ -246,62 +187,6 @@ TEST(TandemFixture, EvenSplitAcrossInstancesByHand) {
   EXPECT_NEAR(chain.tiers[0].pool.rejection_probability, 1.0 / 3.0, 1e-12);
   EXPECT_NEAR(chain.throughput, 2.0 / 3.0, 1e-12);
   EXPECT_NEAR(chain.end_to_end_response, 1.0, 1e-12);
-}
-
-TEST(JacksonFixture, TwoNodeTandemByHand) {
-  // M/M/1 pair at lambda = 1 with mu = 4 then mu = 2: W = 1/(mu - lambda)
-  // per node gives 1/3 + 1 = 4/3 end to end; L = lambda W by Little.
-  JacksonNetwork net;
-  net.nodes = {JacksonNode{1, 4.0}, JacksonNode{1, 2.0}};
-  net.external_arrivals = {1.0, 0.0};
-  net.routing = {{0.0, 1.0}, {0.0, 0.0}};
-  const JacksonMetrics result = solve_jackson(net);
-  EXPECT_NEAR(result.node_metrics[0].mean_response_time, 1.0 / 3.0, 1e-12);
-  EXPECT_NEAR(result.node_metrics[1].mean_response_time, 1.0, 1e-12);
-  EXPECT_NEAR(result.mean_in_network, 4.0 / 3.0, 1e-12);
-  EXPECT_NEAR(result.mean_sojourn_time, 4.0 / 3.0, 1e-12);
-}
-
-TEST(JacksonFixture, FeedbackNodeByHand) {
-  // One node, mu = 3, external 1/s, half of completions loop back: the
-  // traffic equation lambda = 1 + lambda/2 gives lambda = 2, rho = 2/3,
-  // L = rho/(1-rho) = 2; an external arrival's sojourn is L/lambda_ext = 2.
-  JacksonNetwork net;
-  net.nodes = {JacksonNode{1, 3.0}};
-  net.external_arrivals = {1.0};
-  net.routing = {{0.5}};
-  const JacksonMetrics result = solve_jackson(net);
-  EXPECT_NEAR(result.node_arrival_rates[0], 2.0, 1e-12);
-  EXPECT_NEAR(result.mean_in_network, 2.0, 1e-12);
-  EXPECT_NEAR(result.mean_sojourn_time, 2.0, 1e-12);
-}
-
-TEST(JacksonFixture, BranchingByHand) {
-  // Node 0 (mu = 3) takes 2/s and routes 30% to node 1 (mu = 1) and 20% to
-  // node 2 (mu = 2); half leave. lambda = (2, 0.6, 0.4) by the traffic
-  // equations; per-node M/M/1 occupancies L = rho/(1-rho) are 2, 3/2, 1/4,
-  // so 15/4 requests sit in the network and sojourn = (15/4)/2 = 15/8.
-  JacksonNetwork net;
-  net.nodes = {JacksonNode{1, 3.0}, JacksonNode{1, 1.0}, JacksonNode{1, 2.0}};
-  net.external_arrivals = {2.0, 0.0, 0.0};
-  net.routing = {{0.0, 0.3, 0.2}, {0.0, 0.0, 0.0}, {0.0, 0.0, 0.0}};
-  const JacksonMetrics result = solve_jackson(net);
-  EXPECT_NEAR(result.node_arrival_rates[1], 0.6, 1e-12);
-  EXPECT_NEAR(result.node_arrival_rates[2], 0.4, 1e-12);
-  EXPECT_NEAR(result.mean_in_network, 15.0 / 4.0, 1e-12);
-  EXPECT_NEAR(result.mean_sojourn_time, 15.0 / 8.0, 1e-12);
-}
-
-TEST(JacksonFixture, MultiServerNodeByHand) {
-  // One M/M/2 node, mu = 1 per server, lambda = 1: rho = 1/2, so
-  // L = 2 rho / (1 - rho^2) = 4/3 and W = L / lambda = 4/3.
-  JacksonNetwork net;
-  net.nodes = {JacksonNode{2, 1.0}};
-  net.external_arrivals = {1.0};
-  net.routing = {{0.0}};
-  const JacksonMetrics result = solve_jackson(net);
-  EXPECT_NEAR(result.mean_in_network, 4.0 / 3.0, 1e-12);
-  EXPECT_NEAR(result.mean_sojourn_time, 4.0 / 3.0, 1e-12);
 }
 
 }  // namespace

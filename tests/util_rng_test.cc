@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 #include <vector>
 
 #include "stats/running_stats.h"
@@ -123,6 +124,10 @@ struct MomentCase {
   double expected_var;
   std::function<double(Rng&)> sample;
 };
+
+// Print the case by name: gtest would otherwise put the struct's raw bytes,
+// ASLR-dependent pointers included, into the discovered test name.
+void PrintTo(const MomentCase& c, std::ostream* os) { *os << c.name; }
 
 class VariateMomentsTest : public ::testing::TestWithParam<MomentCase> {};
 
